@@ -1,0 +1,5 @@
+"""Same-host benchmark of the reproduction's user-facing runs.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
