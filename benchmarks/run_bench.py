@@ -3,7 +3,8 @@
 Times rotation-policy configuration launches through the scalar API and
 the vectorized batch API, simulated-annealing mapping throughput (with
 the congestion cost term on and off), launch-schedule replay
-throughput, the speculative front-end walk, and an end-to-end
+throughput, the clean Phase A walk over the suite, the speculative
+front-end walk, and an end-to-end
 policy-sweep campaign (shared schedules vs the coupled per-point
 walk), and writes the numbers to
 ``BENCH_alloc.json`` so successive PRs can track the hot paths' perf
@@ -41,13 +42,14 @@ from repro.core.policy import make_policy
 from repro.dbt.window import build_unit
 from repro.mapping import SimulatedAnnealingMapper, routing_profile
 from repro.system import (
+    SCENARIOS,
     SystemParams,
     clear_schedule_caches,
     compute_schedule,
     replay_schedule,
     shared_schedule,
 )
-from repro.workloads.suite import run_workload
+from repro.workloads.suite import run_workload, workload_names
 
 ROWS, COLS = 4, 32
 
@@ -142,6 +144,37 @@ def _replay_metrics(n_replays: int) -> dict:
         if name == "rotation":
             record["schedule_replay_launches_per_sec"] = rate
     return record
+
+
+#: Fabrics of the clean-walk metric: the Table I design points.
+WALK_SCENARIOS = ("BE", "BP", "BU")
+
+
+def _walk_metrics(n_rounds: int) -> dict:
+    """Clean Phase A walk throughput: launches recorded per second by
+    ``compute_schedule`` over the full suite on each ``WALK_SCENARIOS``
+    fabric, every round starting from cleared schedule caches. The
+    walk dominates the Fig. 6 geometry sweep end to end; this isolates
+    it from replay, the GPP reference and rendering. Reported only —
+    not a guarded floor."""
+    traces = [run_workload(name) for name in workload_names()]
+    geometries = [SCENARIOS[name].geometry for name in WALK_SCENARIOS]
+    launches = 0
+    elapsed = 0.0
+    for _ in range(n_rounds):
+        clear_schedule_caches()
+        with obs.stopwatch("bench.walk") as watch:
+            for geometry in geometries:
+                params = SystemParams(geometry=geometry)
+                for trace in traces:
+                    launches += compute_schedule(params, trace).n_launches
+        elapsed += watch.elapsed
+    return {
+        "walk_fabrics": ",".join(WALK_SCENARIOS),
+        "walk_rounds": n_rounds,
+        "walk_launches": launches // n_rounds,
+        "walk_launches_per_sec": round(launches / elapsed, 1),
+    }
 
 
 def _spec_walk_metrics(n_walks: int) -> dict:
@@ -286,6 +319,7 @@ def run(
     sa_units: int = 200,
     routing_profiles: int = 5_000,
     schedule_replays: int = 100,
+    walk_rounds: int = 3,
     spec_walks: int = 20,
     fleet_devices: int = 131_072,
     quick: bool = False,
@@ -337,6 +371,7 @@ def run(
     if backend.numba_version is not None:
         record["numba_version"] = backend.numba_version
     record.update(_replay_metrics(schedule_replays))
+    record.update(_walk_metrics(walk_rounds))
     record.update(_spec_walk_metrics(spec_walks))
     record.update(_campaign_metrics(quick))
     record.update(_fleet_metrics(fleet_devices))
@@ -445,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
             sa_units=20,
             routing_profiles=500,
             schedule_replays=10,
+            walk_rounds=1,
             spec_walks=4,
             fleet_devices=8_192,
             quick=True,

@@ -54,12 +54,20 @@ class CacheModel:
         self._set_mask = params.n_sets - 1
         # Per-set list of tags in LRU order (index 0 = most recent).
         self._sets: list[list[int]] = [[] for _ in range(params.n_sets)]
+        self._last_line: int | None = None
+        self._miss_penalty = params.miss_penalty
         self.hits = 0
         self.misses = 0
 
     def access(self, address: int) -> bool:
         """Touch ``address``; return ``True`` on hit."""
         line = address >> self._offset_bits
+        if line == self._last_line:
+            # The previous access left this line at MRU of its set, so
+            # the true-LRU update below would be a no-op.
+            self.hits += 1
+            return True
+        self._last_line = line
         tags = self._sets[line & self._set_mask]
         tag = line >> (self._set_mask.bit_length())
         try:
@@ -76,7 +84,7 @@ class CacheModel:
 
     def access_cycles(self, address: int) -> int:
         """Touch ``address``; return the miss penalty incurred (0 on hit)."""
-        return 0 if self.access(address) else self.params.miss_penalty
+        return 0 if self.access(address) else self._miss_penalty
 
     @property
     def accesses(self) -> int:

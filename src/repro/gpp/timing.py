@@ -7,19 +7,22 @@ Walks a committed trace and accumulates cycles:
          + dcache miss penalties (per load/store)
          + branch mispredict penalties``
 
-The same per-record cost function is reused by the TransRec system
-simulation for the instructions that execute on the GPP side.
+The per-record cost function (:meth:`GPPTimingModel.record_stepper`)
+is the one the TransRec schedule walk steps for the instructions that
+execute on the GPP side, so stand-alone and TransRec GPP timing share
+one definition.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.gpp.branch import make_predictor
 from repro.gpp.cache import CacheModel
 from repro.gpp.params import GPPParams
 from repro.isa.instructions import InstrClass
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import CLASS_MEMBERS, Trace
 
 __all__ = ["GPPTimingModel", "GPPTimingResult", "make_predictor"]
 
@@ -53,51 +56,68 @@ class GPPTimingModel:
         self.icache = CacheModel(self.params.icache)
         self.dcache = CacheModel(self.params.dcache)
         self.predictor = make_predictor(self.params.predictor)
+        #: Mispredicted branches stepped since the last reset.
+        self.mispredicts = 0
 
-    def record_cycles(self, record: TraceRecord) -> int:
-        """Cycles for one committed instruction, updating cache/predictor
-        state as a side effect."""
-        params = self.params
-        cycles = params.cycles_for(record.cls)
-        cycles += self.icache.access_cycles(record.pc)
-        if record.mem_addr is not None:
-            cycles += self.dcache.access_cycles(record.mem_addr)
-        if record.cls is InstrClass.BRANCH:
-            predicted = self.predictor.predict(
-                record.pc, record.imm if record.imm is not None else 0
-            )
-            taken = bool(record.taken)
-            if predicted != taken:
-                cycles += params.branch_mispredict_penalty
-            self.predictor.update(record.pc, taken)
-        return cycles
+    def record_stepper(
+        self,
+        trace: Trace,
+        columns: tuple[list[int], list[int], list[int], list[int]] | None = None,
+    ) -> Callable[[int], int]:
+        """The per-record cost function over ``trace``'s columns.
 
-    def run(self, trace: Trace) -> GPPTimingResult:
-        """Time a whole trace on a fresh GPP (state is reset first)."""
-        self.reset()
-        base = 0
-        ic_miss = 0
-        dc_miss = 0
-        mispredict = 0
+        ``step(position)`` returns the cycles of record ``position``
+        (base cycles by class code, icache penalty on its pc, dcache
+        penalty on its memory address, mispredict penalty on a branch)
+        and updates cache and predictor state. Only branches read their
+        :class:`TraceRecord` (the predictor needs the offset and the
+        outcome). ``columns`` is :meth:`Trace.column_lists`, shared
+        with a caller that indexes the same lists. The step binds the
+        current caches, so build it after :meth:`reset`.
+        """
+        pcs, codes, mem_prefix, mem_addresses = (
+            columns if columns is not None else trace.column_lists()
+        )
         params = self.params
-        for record in trace:
-            base += params.cycles_for(record.cls)
-            ic_miss += self.icache.access_cycles(record.pc)
-            if record.mem_addr is not None:
-                dc_miss += self.dcache.access_cycles(record.mem_addr)
-            if record.cls is InstrClass.BRANCH:
-                predicted = self.predictor.predict(
+        base = [params.cycles_for(cls) for cls in CLASS_MEMBERS]
+        branch = CLASS_MEMBERS.index(InstrClass.BRANCH)
+        icache_cycles = self.icache.access_cycles
+        dcache_cycles = self.dcache.access_cycles
+        predictor = self.predictor
+        penalty = params.branch_mispredict_penalty
+
+        def step(position: int) -> int:
+            code = codes[position]
+            cycles = base[code] + icache_cycles(pcs[position])
+            index = mem_prefix[position]
+            if mem_prefix[position + 1] != index:
+                cycles += dcache_cycles(mem_addresses[index])
+            if code == branch:
+                record = trace[position]
+                predicted = predictor.predict(
                     record.pc, record.imm if record.imm is not None else 0
                 )
                 taken = bool(record.taken)
                 if predicted != taken:
-                    mispredict += params.branch_mispredict_penalty
-                self.predictor.update(record.pc, taken)
-        total = base + ic_miss + dc_miss + mispredict
+                    cycles += penalty
+                    self.mispredicts += 1
+                predictor.update(record.pc, taken)
+            return cycles
+
+        return step
+
+    def run(self, trace: Trace) -> GPPTimingResult:
+        """Time a whole trace on a fresh GPP (state is reset first)."""
+        self.reset()
+        total = sum(map(self.record_stepper(trace), range(len(trace))))
+        params = self.params
+        ic_miss = self.icache.misses * params.icache.miss_penalty
+        dc_miss = self.dcache.misses * params.dcache.miss_penalty
+        mispredict = self.mispredicts * params.branch_mispredict_penalty
         return GPPTimingResult(
             cycles=total,
             instructions=len(trace),
-            base_cycles=base,
+            base_cycles=total - ic_miss - dc_miss - mispredict,
             icache_miss_cycles=ic_miss,
             dcache_miss_cycles=dc_miss,
             mispredict_cycles=mispredict,
@@ -112,3 +132,4 @@ class GPPTimingModel:
         self.icache = CacheModel(self.params.icache)
         self.dcache = CacheModel(self.params.dcache)
         self.predictor.reset()
+        self.mispredicts = 0

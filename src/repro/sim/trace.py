@@ -20,8 +20,8 @@ from repro.isa.instructions import InstrClass
 
 #: Canonical member order used to encode :attr:`TraceRecord.cls` as a
 #: small integer in :attr:`Trace.class_code_array`.
-_CLASS_MEMBERS = tuple(InstrClass)
-_CLASS_INDEX = {cls: index for index, cls in enumerate(_CLASS_MEMBERS)}
+CLASS_MEMBERS = tuple(InstrClass)
+_CLASS_INDEX = {cls: index for index, cls in enumerate(CLASS_MEMBERS)}
 
 #: Record-kind codes for speculative streams (:class:`SpeculativeTrace`).
 #: Plain committed traces are implicitly all-:data:`KIND_COMMITTED`.
@@ -71,6 +71,23 @@ class TraceRecord:
     def redirects(self) -> bool:
         """Whether the instruction actually changed control flow."""
         return self.next_pc != self.pc + 4
+
+
+def class_histogram(codes: np.ndarray) -> dict[InstrClass, int]:
+    """Count class codes (:attr:`Trace.class_code_array` encoding).
+
+    Keys appear in first-occurrence order: downstream energy sums
+    iterate the dict, so insertion order is part of the bit-identical
+    contract with a per-record counting walk.
+    """
+    if codes.size == 0:
+        return {}
+    values, first_index = np.unique(codes, return_index=True)
+    counts = np.bincount(codes)
+    return {
+        CLASS_MEMBERS[int(values[i])]: int(counts[values[i]])
+        for i in np.argsort(first_index, kind="stable")
+    }
 
 
 class Trace(Sequence[TraceRecord]):
@@ -159,20 +176,28 @@ class Trace(Sequence[TraceRecord]):
 
     @cached_property
     def _class_counts(self) -> Counter[InstrClass]:
-        codes = self.class_code_array
-        if codes.size == 0:
-            return Counter()
-        values, first_index = np.unique(codes, return_index=True)
-        counts = np.bincount(codes)
-        # Preserve first-occurrence order: downstream energy sums
-        # iterate the dict, so insertion order is part of the
-        # bit-identical contract with the per-record Counter walk.
-        order = np.argsort(first_index, kind="stable")
-        return Counter(
-            {
-                _CLASS_MEMBERS[int(values[i])]: int(counts[values[i]])
-                for i in order
-            }
+        return Counter(class_histogram(self.class_code_array))
+
+    def column_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Fresh list copies of the columns per-record walkers index.
+
+        Returns ``(pcs, class_codes, mem_prefix, mem_addresses)``.
+        ``mem_prefix`` (length ``len + 1``) counts the loads/stores
+        before each record: record ``i`` accesses memory iff
+        ``mem_prefix[i + 1] > mem_prefix[i]``, at
+        ``mem_addresses[mem_prefix[i]]``, and the accesses of a span
+        ``[i, j)`` are ``mem_addresses[mem_prefix[i]:mem_prefix[j]]``.
+        List indexing is several times cheaper than numpy scalar
+        indexing, so the walkers take lists once per walk.
+        """
+        mem_prefix = np.zeros(len(self._records) + 1, dtype=np.int64)
+        mem_prefix[self.mem_positions + 1] = 1
+        np.cumsum(mem_prefix, out=mem_prefix)
+        return (
+            self.pc_array.tolist(),
+            self.class_code_array.tolist(),
+            mem_prefix.tolist(),
+            self.mem_addresses.tolist(),
         )
 
     def class_counts(self) -> Counter[InstrClass]:
@@ -203,9 +228,9 @@ class Trace(Sequence[TraceRecord]):
     #
     # A plain committed trace carries trivial annotations (all records
     # committed, no flush gaps); :class:`SpeculativeTrace` overrides
-    # these with the columns produced by the front end. The walkers only
-    # touch them when a front end is configured, so plain traces never
-    # pay for the zero columns unless asked.
+    # these with the columns produced by the front end. The schedule
+    # walk reads them on every trace, so a plain trace's columns are
+    # zero-stride views that cost no memory per record.
 
     #: Whether this trace carries front-end (speculation) annotations.
     speculative: bool = False
@@ -218,16 +243,12 @@ class Trace(Sequence[TraceRecord]):
     @cached_property
     def kind_array(self) -> np.ndarray:
         """Per-record kind codes (read-only int8); all committed here."""
-        kinds = np.zeros(len(self._records), dtype=np.int8)
-        kinds.flags.writeable = False
-        return kinds
+        return np.broadcast_to(np.int8(KIND_COMMITTED), (len(self._records),))
 
     @cached_property
     def flush_gap_array(self) -> np.ndarray:
         """Pipeline-flush cycles charged *after* each record (read-only)."""
-        gaps = np.zeros(len(self._records), dtype=np.int64)
-        gaps.flags.writeable = False
-        return gaps
+        return np.broadcast_to(np.int64(0), (len(self._records),))
 
     @cached_property
     def committed_prefix(self) -> np.ndarray:

@@ -21,6 +21,26 @@ per policy:
   (the batch engine is property-tested against the scalar loop, and
   ``tests/test_schedule_equivalence.py`` pins the system level).
 
+The walk is *columnar*. It takes the trace's PCs, class codes and
+memory addresses as Python lists once per walk, plus a memory-op
+prefix count so a launch span's loads and stores are one slice.
+Per-unit launch constants (PC path, length, execution cycles, used
+columns, launch costs) are memoised per unit object. Per-record Python
+runs only where the model has state: the config-cache probe, the GPP
+caches and predictor (stepped through
+:meth:`~repro.gpp.timing.GPPTimingModel.record_stepper`, the
+stand-alone GPP's own cost function) and the DBT misspeculation
+monitor. Everything else is folded at the end of the walk: op counts
+from per-unit launch counts, GPP class counts from the GPP segments,
+committed and wrong-path counts from the kind column. Both activity
+count dicts keep *first-occurrence* insertion order (units in
+first-launch order, GPP records in stream order), because
+:meth:`~repro.hw.energy.EnergyModel.report` sums floats in dict order.
+Clean and speculative streams share the loop; a clean trace's
+front-end columns are all committed and gap-free.
+``tests/test_schedule_walk.py`` checks the walk against a per-record
+reference and exact conservation laws.
+
 Schedules and the stand-alone GPP reference timing are memoised per
 process, keyed weakly by trace object, so serial campaigns and the
 experiment drivers share one walk per pipeline across the whole
@@ -41,6 +61,7 @@ import pickle
 import tempfile
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -60,7 +81,7 @@ from repro.gpp.timing import GPPTimingModel, GPPTimingResult
 from repro.hw.energy import EnergyModel, EnergyReport, SystemActivity
 from repro.mapping import make_mapper
 from repro.resilience import faults
-from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace
+from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace, class_histogram
 from repro.system.params import SystemParams
 from repro.system.stats import CGRAStats
 
@@ -222,19 +243,23 @@ class LaunchSchedule:
         return cgra, replace(self.cache_stats)
 
 
-def _match_length(
-    unit: VirtualConfiguration, trace_pcs: np.ndarray, position: int
-) -> int:
-    """Length of the common prefix of the unit's recorded path and the
-    actual upcoming trace (>= 1 since start PCs match)."""
-    path = unit.pc_path_array
-    limit = min(path.size, trace_pcs.size - position)
-    mismatch = np.flatnonzero(
-        trace_pcs[position : position + limit] != path[:limit]
+def _launch_constants(unit: VirtualConfiguration, geometry, datapath) -> tuple:
+    """What a launch of ``unit`` reads that is fixed per unit: the unit,
+    start PC, PC path (a list, compared against trace slices), length,
+    execution cycles, used columns and cost ``[cold][back_to_back]``."""
+    costs = [
+        [configuration_cycles(geometry, datapath, unit, cold, b2b) for b2b in (0, 1)]
+        for cold in (0, 1)
+    ]
+    return (
+        unit,
+        unit.start_pc,
+        list(unit.pc_path),
+        unit.n_instructions,
+        execution_cycles(datapath, unit),
+        unit.used_cols,
+        costs,
     )
-    if mismatch.size:
-        return int(mismatch[0])
-    return int(limit)
 
 
 def compute_schedule(
@@ -256,7 +281,8 @@ def compute_schedule(
     walk then sees wrong-path runs and handler mini-traces — squashed
     launches still probe and pollute the config cache and accrue fabric
     stress, but only committed-kind records count as committed work,
-    and flush gaps charge cycles and break GPP segments mid-stream.
+    and flush gaps charge cycles and break GPP segments mid-stream (a
+    clean trace walks the same loop, its stream all committed, no gaps).
     """
     if params.frontend is not None and not trace.speculative:
         trace = speculative_trace(trace, params.frontend)
@@ -269,7 +295,6 @@ def compute_schedule(
             "policy-independent schedule cannot be computed — run the "
             "coupled walk instead"
         )
-    reconfig_spec = ReconfigLogicSpec(geometry)
     gpp = GPPTimingModel(params.gpp)
     cache = ConfigCache(
         capacity=params.config_cache_entries, mapper_key=mapper.identity()
@@ -287,33 +312,27 @@ def compute_schedule(
 
     obs.count("schedule.walks")
     datapath = params.datapath
-    dcache = gpp.dcache
+    misspeculation_penalty = datapath.misspeculation_penalty
     stats = CGRAStats()
-    activity = SystemActivity(fabric_cells=geometry.n_cells)
-    gpp_class_counts: Counter = Counter()
-    cgra_op_counts: Counter = Counter()
     launch_configs: list[VirtualConfiguration] = []
     launch_exec_cycles: list[int] = []
+    launch_starts: list[int] = []
     gpp_segments: list[tuple[int, int]] = []
+    # Launch constants per unit object, in first-launch order. Keyed by
+    # id(): hashing a frozen VirtualConfiguration hashes every op.
+    # Launched units stay alive in launch_configs, so no id is reused.
+    unit_constants: dict[int, tuple] = {}
 
-    trace_pcs = trace.pc_array
-    head_flags = engine.unit_head_flags(trace)
-    mem_positions = trace.mem_positions
-    mem_addresses = trace.mem_addresses
+    columns = trace.column_lists()
+    pcs, _, mem_prefix, mem_addresses = columns
+    gpp_step = gpp.record_stepper(trace, columns)
+    dcache_cycles = gpp.dcache.access_cycles
+    head_flags = engine.unit_head_flags(trace).tolist()
+    # Front-end flush gaps (all zero on a clean trace).
+    flush_gaps = trace.flush_gap_array.tolist()
+    flush_prefix = [0, *accumulate(flush_gaps)]
 
-    # Front-end annotation columns; only consulted on speculative
-    # streams, so plain committed walks stay byte-identical and never
-    # materialise the zero columns.
-    speculative = trace.speculative
-    if speculative:
-        kind_codes = trace.kind_array
-        flush_gaps = trace.flush_gap_array
-        committed_prefix = trace.committed_prefix
-        flush_prefix = trace.flush_gap_prefix
-        wrong_path_prefix = np.zeros(len(trace) + 1, dtype=np.int64)
-        np.cumsum(kind_codes == KIND_WRONG_PATH, out=wrong_path_prefix[1:])
-
-    cycles = 0
+    cycles = probes = cold_cols = flush_cycles = 0
     loaded_pc: int | None = None
     position = 0
     # A translated or replayed unit makes the instruction right after it
@@ -321,124 +340,126 @@ def compute_schedule(
     # regions instead of only covering their heads.
     pending_head = -1
     # Whether the previous window ran on the fabric without a
-    # misspeculation (enables I/O overlap of chained launches).
+    # misspeculation or flush (enables I/O overlap of chained launches).
     chained = False
     segment_start = -1
     n_records = len(trace)
     while position < n_records:
-        is_head = position == pending_head or bool(head_flags[position])
+        is_head = position == pending_head or head_flags[position]
         unit = None
         if is_head:
-            activity.config_cache_accesses += 1
-            unit = cache.lookup(int(trace_pcs[position]))
+            probes += 1
+            unit = cache.lookup(pcs[position])
         if unit is not None:
             if segment_start >= 0:
                 gpp_segments.append((segment_start, position))
                 segment_start = -1
+            constants = unit_constants.get(id(unit))
+            if constants is None:
+                constants = _launch_constants(unit, geometry, datapath)
+                unit_constants[id(unit)] = constants
+            _, start_pc, path, size, exec_cost, used_cols, costs = constants
             # Replay the unit on the fabric: commit the matching prefix
             # of its recorded path, squash on divergence.
-            matched = _match_length(unit, trace_pcs, position)
-            cold = loaded_pc != unit.start_pc
-            launch_cost = configuration_cycles(
-                geometry, datapath, unit, cold=cold, back_to_back=chained
-            )
-            # Data-cache effects of the unit's memory ops (shared L1) —
-            # only the precomputed load/store positions are touched.
-            lo = int(np.searchsorted(mem_positions, position))
-            hi = int(np.searchsorted(mem_positions, position + matched))
-            for index in range(lo, hi):
-                launch_cost += dcache.access_cycles(int(mem_addresses[index]))
-            if matched < unit.n_instructions:
-                launch_cost += datapath.misspeculation_penalty
+            end = position + size
+            if pcs[position:end] == path:
+                matched = size
+            else:  # divergence (or the stream ends inside the unit)
+                limit = min(size, n_records - position)
+                matched = next(
+                    (k for k in range(limit) if pcs[position + k] != path[k]), limit
+                )
+                end = position + matched
+            cold = loaded_pc != start_pc
+            launch_cost = costs[cold][chained]
+            # Data-cache effects of the span's memory ops (shared L1).
+            for address in mem_addresses[mem_prefix[position] : mem_prefix[end]]:
+                launch_cost += dcache_cycles(address)
+            if matched < size:
+                launch_cost += misspeculation_penalty
                 stats.misspeculations += 1
-                stats.squashed_instructions += unit.n_instructions - matched
-            exec_cost = execution_cycles(datapath, unit)
+                stats.squashed_instructions += size - matched
             launch_configs.append(unit)
             launch_exec_cycles.append(exec_cost)
+            launch_starts.append(position)
             if allocator is not None:
                 allocator.allocate(unit, cycles=exec_cost)
-            stats.launches += 1
             if cold:
                 stats.cold_launches += 1
-                activity.cold_config_bits += (
-                    reconfig_spec.config_bits_per_column * unit.used_cols
-                )
-            if speculative:
-                # Only committed-kind records are architectural work;
-                # wrong-path (and handler) records in the span still
-                # occupied the fabric but never commit GPP state.
-                end = position + matched
-                stats.committed_instructions += int(
-                    committed_prefix[end] - committed_prefix[position]
-                )
-                stats.wrong_path_instructions += int(
-                    wrong_path_prefix[end] - wrong_path_prefix[position]
-                )
-                if kind_codes[position] != KIND_COMMITTED:
-                    stats.wrong_path_launches += 1
-                span_flush = int(flush_prefix[end] - flush_prefix[position])
-                if span_flush:
-                    # A pipeline flush inside the replayed span: charge
-                    # the refill gap and break launch chaining.
-                    launch_cost += span_flush
-                    stats.frontend_flush_cycles += span_flush
-            else:
-                stats.committed_instructions += matched
-            activity.launches += 1
-            activity.active_column_launches += unit.used_cols
-            for op in unit.ops:
-                cgra_op_counts[op.kind] += 1
-            loaded_pc = unit.start_pc
+                cold_cols += used_cols
+            # A flush inside the span charges its gap and breaks chaining.
+            span_flush = flush_prefix[end] - flush_prefix[position]
+            launch_cost += span_flush
+            flush_cycles += span_flush
+            loaded_pc = start_pc
             engine.note_replay(unit, matched)
-            chained = matched == unit.n_instructions
-            if speculative and span_flush:
-                chained = False
+            chained = matched == size and not span_flush
             cycles += launch_cost
-            position += matched
+            position = end
             pending_head = position
             continue
         chained = False
         if segment_start < 0:
             segment_start = position
-        record = trace[position]
-        cycles += gpp.record_cycles(record)
-        gpp_class_counts[record.cls] += 1
-        if speculative:
-            gap = int(flush_gaps[position])
-            if gap:
-                # Pipeline flush right after this record (mispredict
-                # resolution or interrupt redirect): charge the refill
-                # gap and invalidate the GPP segment mid-stream.
-                cycles += gap
-                stats.frontend_flush_cycles += gap
-                gpp_segments.append((segment_start, position + 1))
-                segment_start = -1
+        cycles += gpp_step(position)
+        gap = flush_gaps[position]
+        if gap:
+            # Flush after this record (mispredict resolution or interrupt
+            # redirect): charge the gap and end the GPP segment here.
+            cycles += gap
+            flush_cycles += gap
+            gpp_segments.append((segment_start, position + 1))
+            segment_start = -1
         if is_head:
             new_unit = engine.translate_at(trace, position)
-            if new_unit is not None:
-                pending_head = position + new_unit.n_instructions
-            else:
-                # Unmappable or too-short head: resume translation at
-                # the next instruction so the code after a DIV/syscall/
-                # indirect jump still gets configurations.
-                pending_head = position + 1
+            # Unmappable or too-short head: resume translation at the next
+            # instruction, so code after a DIV/syscall/indirect jump still
+            # gets configurations.
+            pending_head = position + (new_unit.n_instructions if new_unit else 1)
         position += 1
-
     if segment_start >= 0:
         gpp_segments.append((segment_start, n_records))
-    activity.cycles = cycles
-    activity.gpp_class_counts = dict(gpp_class_counts)
-    activity.cgra_op_counts = dict(cgra_op_counts)
-    activity.cache_misses = gpp.icache.misses + gpp.dcache.misses
+
+    # End-of-walk folds. Dict insertion order is first occurrence in
+    # the walk (units in first-launch order, ops in unit order; GPP
+    # records in stream order): energy reports sum in dict order.
+    launches_per_unit = Counter(map(id, launch_configs))
+    cgra_op_counts: dict = {}
+    active_columns = 0
+    for key, (unit, *_, used_cols, _) in unit_constants.items():
+        count = launches_per_unit[key]
+        active_columns += count * used_cols
+        for op in unit.ops:
+            cgra_op_counts[op.kind] = cgra_op_counts.get(op.kind, 0) + count
+    bounds = np.array(gpp_segments, dtype=np.int64).reshape(-1, 2)
+    on_gpp = np.zeros(n_records + 1, dtype=np.int64)
+    on_gpp[bounds[:, 0]] += 1  # starts are distinct, and so are stops
+    on_gpp[bounds[:, 1]] -= 1
+    on_gpp = np.cumsum(on_gpp[:-1]).astype(bool)
+    kinds = trace.kind_array
+    stats.launches = len(launch_configs)
+    stats.committed_instructions = int(np.sum(kinds[~on_gpp] == KIND_COMMITTED))
+    stats.wrong_path_instructions = int(np.sum(kinds[~on_gpp] == KIND_WRONG_PATH))
+    stats.wrong_path_launches = int(np.sum(kinds[launch_starts] != KIND_COMMITTED))
+    stats.frontend_flush_cycles = flush_cycles
+    activity = SystemActivity(
+        cycles=cycles,
+        gpp_class_counts=class_histogram(trace.class_code_array[on_gpp]),
+        cache_misses=gpp.icache.misses + gpp.dcache.misses,
+        cgra_op_counts=cgra_op_counts,
+        launches=stats.launches,
+        active_column_launches=active_columns,
+        cold_config_bits=ReconfigLogicSpec(geometry).config_bits_per_column * cold_cols,
+        config_cache_accesses=probes,
+        fabric_cells=geometry.n_cells,
+    )
     stats.cgra_cycles = cycles
     stats.peak_line_pressure = engine.peak_line_pressure
-    # Surface the config-cache counters on the fabric stats (the
-    # cache-sizing study reads them from CGRAStats without having to
-    # reach into the cache object).
+    # Config-cache mirrors on the fabric stats (the cache-sizing study).
     stats.config_cache_hits = cache.stats.hits
     stats.config_cache_misses = cache.stats.misses
     stats.config_cache_evictions = cache.stats.evictions
-    if speculative:
+    if trace.speculative:
         stats.frontend_mispredicts = trace.mispredicts
         stats.frontend_flushes = trace.flushes
         stats.frontend_interrupts = trace.interrupts

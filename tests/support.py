@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
+
+from repro import obs
+from repro.cgra.configuration import VirtualConfiguration
+from repro.cgra.datapath import configuration_cycles, execution_cycles
+from repro.cgra.reconfig import ReconfigLogicSpec
+from repro.core.allocator import ConfigurationAllocator
+from repro.dbt.config_cache import ConfigCache
+from repro.dbt.translator import DBTEngine
+from repro.errors import ConfigurationError
+from repro.frontend.speculative import speculative_trace
+from repro.gpp.timing import GPPTimingModel
+from repro.hw.energy import SystemActivity
 from repro.isa.assembler import assemble
 from repro.isa.instructions import OPCODES, InstrClass
 from repro.sim.cpu import CPU
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace, TraceRecord
+from repro.system.params import SystemParams
+from repro.system.schedule import LaunchSchedule, _make_walk_mapper
+from repro.system.stats import CGRAStats
 
 
 def run_asm(source: str, max_steps: int = 500_000):
@@ -58,3 +76,260 @@ def reset_rec_pcs(base: int = 0x1000) -> None:
     """Reset the automatic PC counter used by :func:`rec`."""
     global _NEXT_PC
     _NEXT_PC = base
+
+
+# ----------------------------------------------------------------------
+# Reference Phase A walk
+
+
+def _reference_match_length(
+    unit: VirtualConfiguration, trace_pcs: np.ndarray, position: int
+) -> int:
+    """Length of the common prefix of the unit's recorded path and the
+    actual upcoming trace (>= 1 since start PCs match)."""
+    path = np.array(unit.pc_path, dtype=np.int64)
+    limit = min(path.size, trace_pcs.size - position)
+    mismatch = np.flatnonzero(
+        trace_pcs[position : position + limit] != path[:limit]
+    )
+    if mismatch.size:
+        return int(mismatch[0])
+    return int(limit)
+
+
+
+def _reference_record_cycles(gpp: GPPTimingModel, record: TraceRecord) -> int:
+    """Cycles for one record on ``gpp``, read from the record itself
+    (the per-record cost the walk used before the columnar stepper)."""
+    params = gpp.params
+    cycles = params.cycles_for(record.cls)
+    cycles += gpp.icache.access_cycles(record.pc)
+    if record.mem_addr is not None:
+        cycles += gpp.dcache.access_cycles(record.mem_addr)
+    if record.cls is InstrClass.BRANCH:
+        predicted = gpp.predictor.predict(
+            record.pc, record.imm if record.imm is not None else 0
+        )
+        taken = bool(record.taken)
+        if predicted != taken:
+            cycles += params.branch_mispredict_penalty
+        gpp.predictor.update(record.pc, taken)
+    return cycles
+
+
+def reference_compute_schedule(
+    params: SystemParams,
+    trace: Trace,
+    allocator: ConfigurationAllocator | None = None,
+) -> LaunchSchedule:
+    """The per-record Phase A walk, kept as an independent oracle.
+
+    This is the schedule walk as it stood before the columnar
+    rewrite of :func:`repro.system.schedule.compute_schedule`: every
+    record is visited through its :class:`TraceRecord`, counts are
+    accumulated per launch and per GPP record, and clean and
+    speculative streams take separate branches. The production walk
+    must produce an equal :class:`LaunchSchedule`, dict key order
+    included.
+    """
+    if params.frontend is not None and not trace.speculative:
+        trace = speculative_trace(trace, params.frontend)
+    geometry = params.geometry
+    mapper = _make_walk_mapper(params)
+    if mapper.stress_coupled and allocator is None:
+        raise ConfigurationError(
+            f"mapper {mapper.identity()!r} is stress-coupled: its "
+            "placements read the allocator's live stress map, so a "
+            "policy-independent schedule cannot be computed — run the "
+            "coupled walk instead"
+        )
+    reconfig_spec = ReconfigLogicSpec(geometry)
+    gpp = GPPTimingModel(params.gpp)
+    cache = ConfigCache(
+        capacity=params.config_cache_entries, mapper_key=mapper.identity()
+    )
+    stress_provider = None
+    if allocator is not None:
+        stress_provider = lambda: allocator.tracker.stress_map  # noqa: E731
+    engine = DBTEngine(
+        geometry=geometry,
+        cache=cache,
+        limits=params.dbt,
+        mapper=mapper,
+        stress_provider=stress_provider,
+    )
+
+    obs.count("schedule.walks")
+    datapath = params.datapath
+    dcache = gpp.dcache
+    stats = CGRAStats()
+    activity = SystemActivity(fabric_cells=geometry.n_cells)
+    gpp_class_counts: Counter = Counter()
+    cgra_op_counts: Counter = Counter()
+    launch_configs: list[VirtualConfiguration] = []
+    launch_exec_cycles: list[int] = []
+    gpp_segments: list[tuple[int, int]] = []
+
+    trace_pcs = trace.pc_array
+    head_flags = engine.unit_head_flags(trace)
+    mem_positions = trace.mem_positions
+    mem_addresses = trace.mem_addresses
+
+    # Front-end annotation columns; only consulted on speculative
+    # streams, so plain committed walks stay byte-identical and never
+    # materialise the zero columns.
+    speculative = trace.speculative
+    if speculative:
+        kind_codes = trace.kind_array
+        flush_gaps = trace.flush_gap_array
+        committed_prefix = trace.committed_prefix
+        flush_prefix = trace.flush_gap_prefix
+        wrong_path_prefix = np.zeros(len(trace) + 1, dtype=np.int64)
+        np.cumsum(kind_codes == KIND_WRONG_PATH, out=wrong_path_prefix[1:])
+
+    cycles = 0
+    loaded_pc: int | None = None
+    position = 0
+    # A translated or replayed unit makes the instruction right after it
+    # a translation point too, so configurations tile long straight-line
+    # regions instead of only covering their heads.
+    pending_head = -1
+    # Whether the previous window ran on the fabric without a
+    # misspeculation (enables I/O overlap of chained launches).
+    chained = False
+    segment_start = -1
+    n_records = len(trace)
+    while position < n_records:
+        is_head = position == pending_head or bool(head_flags[position])
+        unit = None
+        if is_head:
+            activity.config_cache_accesses += 1
+            unit = cache.lookup(int(trace_pcs[position]))
+        if unit is not None:
+            if segment_start >= 0:
+                gpp_segments.append((segment_start, position))
+                segment_start = -1
+            # Replay the unit on the fabric: commit the matching prefix
+            # of its recorded path, squash on divergence.
+            matched = _reference_match_length(unit, trace_pcs, position)
+            cold = loaded_pc != unit.start_pc
+            launch_cost = configuration_cycles(
+                geometry, datapath, unit, cold=cold, back_to_back=chained
+            )
+            # Data-cache effects of the unit's memory ops (shared L1) —
+            # only the precomputed load/store positions are touched.
+            lo = int(np.searchsorted(mem_positions, position))
+            hi = int(np.searchsorted(mem_positions, position + matched))
+            for index in range(lo, hi):
+                launch_cost += dcache.access_cycles(int(mem_addresses[index]))
+            if matched < unit.n_instructions:
+                launch_cost += datapath.misspeculation_penalty
+                stats.misspeculations += 1
+                stats.squashed_instructions += unit.n_instructions - matched
+            exec_cost = execution_cycles(datapath, unit)
+            launch_configs.append(unit)
+            launch_exec_cycles.append(exec_cost)
+            if allocator is not None:
+                allocator.allocate(unit, cycles=exec_cost)
+            stats.launches += 1
+            if cold:
+                stats.cold_launches += 1
+                activity.cold_config_bits += (
+                    reconfig_spec.config_bits_per_column * unit.used_cols
+                )
+            if speculative:
+                # Only committed-kind records are architectural work;
+                # wrong-path (and handler) records in the span still
+                # occupied the fabric but never commit GPP state.
+                end = position + matched
+                stats.committed_instructions += int(
+                    committed_prefix[end] - committed_prefix[position]
+                )
+                stats.wrong_path_instructions += int(
+                    wrong_path_prefix[end] - wrong_path_prefix[position]
+                )
+                if kind_codes[position] != KIND_COMMITTED:
+                    stats.wrong_path_launches += 1
+                span_flush = int(flush_prefix[end] - flush_prefix[position])
+                if span_flush:
+                    # A pipeline flush inside the replayed span: charge
+                    # the refill gap and break launch chaining.
+                    launch_cost += span_flush
+                    stats.frontend_flush_cycles += span_flush
+            else:
+                stats.committed_instructions += matched
+            activity.launches += 1
+            activity.active_column_launches += unit.used_cols
+            for op in unit.ops:
+                cgra_op_counts[op.kind] += 1
+            loaded_pc = unit.start_pc
+            engine.note_replay(unit, matched)
+            chained = matched == unit.n_instructions
+            if speculative and span_flush:
+                chained = False
+            cycles += launch_cost
+            position += matched
+            pending_head = position
+            continue
+        chained = False
+        if segment_start < 0:
+            segment_start = position
+        record = trace[position]
+        cycles += _reference_record_cycles(gpp, record)
+        gpp_class_counts[record.cls] += 1
+        if speculative:
+            gap = int(flush_gaps[position])
+            if gap:
+                # Pipeline flush right after this record (mispredict
+                # resolution or interrupt redirect): charge the refill
+                # gap and invalidate the GPP segment mid-stream.
+                cycles += gap
+                stats.frontend_flush_cycles += gap
+                gpp_segments.append((segment_start, position + 1))
+                segment_start = -1
+        if is_head:
+            new_unit = engine.translate_at(trace, position)
+            if new_unit is not None:
+                pending_head = position + new_unit.n_instructions
+            else:
+                # Unmappable or too-short head: resume translation at
+                # the next instruction so the code after a DIV/syscall/
+                # indirect jump still gets configurations.
+                pending_head = position + 1
+        position += 1
+
+    if segment_start >= 0:
+        gpp_segments.append((segment_start, n_records))
+    activity.cycles = cycles
+    activity.gpp_class_counts = dict(gpp_class_counts)
+    activity.cgra_op_counts = dict(cgra_op_counts)
+    activity.cache_misses = gpp.icache.misses + gpp.dcache.misses
+    stats.cgra_cycles = cycles
+    stats.peak_line_pressure = engine.peak_line_pressure
+    # Surface the config-cache counters on the fabric stats (the
+    # cache-sizing study reads them from CGRAStats without having to
+    # reach into the cache object).
+    stats.config_cache_hits = cache.stats.hits
+    stats.config_cache_misses = cache.stats.misses
+    stats.config_cache_evictions = cache.stats.evictions
+    if speculative:
+        stats.frontend_mispredicts = trace.mispredicts
+        stats.frontend_flushes = trace.flushes
+        stats.frontend_interrupts = trace.interrupts
+        obs.count("frontend.mispredicts", trace.mispredicts)
+        obs.count("frontend.flushes", trace.flushes)
+        obs.count("frontend.interrupts", trace.interrupts)
+        obs.count("frontend.wrong_path_launches", stats.wrong_path_launches)
+    return LaunchSchedule(
+        trace_name=trace.name,
+        instructions=trace.n_committed,
+        stress_coupled=engine.stress_coupled,
+        configs=tuple(launch_configs),
+        exec_cycles=np.asarray(launch_exec_cycles, dtype=np.int64),
+        transrec_cycles=cycles,
+        cgra=stats,
+        cache_stats=cache.stats,
+        activity=activity,
+        gpp_segments=tuple(gpp_segments),
+    )
+

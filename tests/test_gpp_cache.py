@@ -1,6 +1,8 @@
 """Tests for the set-associative cache model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gpp.cache import CacheModel, CacheParams
@@ -82,3 +84,66 @@ class TestBehaviour:
         cache.reset_stats()
         assert cache.accesses == 0
         assert cache.miss_rate == 0.0
+
+
+class ReferenceLRU:
+    """True LRU with no shortcuts: one recency list of line numbers per
+    set, most recent first."""
+
+    def __init__(self, ways, sets, line):
+        self.ways, self.sets, self.line = ways, sets, line
+        self.recency = [[] for _ in range(sets)]
+        self.hits = self.misses = 0
+
+    def access(self, address):
+        line = address // self.line
+        lines = self.recency[line % self.sets]
+        hit = line in lines
+        if hit:
+            lines.remove(line)
+            self.hits += 1
+        else:
+            self.misses += 1
+        lines.insert(0, line)
+        del lines[self.ways :]
+        return hit
+
+
+#: One access run: (tag, set, run length, offsets within the line).
+#: Few tags per set force evictions; most runs land in set 0, so they
+#: conflict with each other.
+RUNS = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from([0, 0, 0, 1, 3]),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestLastLineFastPath:
+    """Repeats of the previous line take a shortcut in
+    :meth:`CacheModel.access`; it must stay exact true LRU."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ways=st.sampled_from([1, 2, 4]),
+        sets=st.sampled_from([1, 2, 4]),
+        line=st.sampled_from([4, 16, 64]),
+        runs=RUNS,
+    )
+    def test_matches_reference_lru(self, ways, sets, line, runs):
+        cache = small_cache(ways=ways, sets=sets, line=line)
+        reference = ReferenceLRU(ways, sets, line)
+        for tag, set_index, length, seed in runs:
+            base = (tag * sets + set_index % sets) * line
+            for step in range(length):
+                address = base + (seed >> step) % line
+                assert cache.access(address) == reference.access(address)
+        assert cache.hits == reference.hits
+        assert cache.misses == reference.misses
+        accesses = reference.hits + reference.misses
+        assert cache.miss_rate == reference.misses / accesses
