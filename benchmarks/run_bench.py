@@ -1,7 +1,7 @@
 """Allocation + mapping + campaign throughput tracking benchmark.
 
-Times rotation-policy configuration launches through the scalar API and
-the vectorized batch API, simulated-annealing mapping throughput (with
+Times rotation-policy configuration launches through the queued
+``allocate`` API and the vectorized batch API, simulated-annealing mapping throughput (with
 the congestion cost term on and off), launch-schedule replay
 throughput, the clean Phase A walk over the suite, the speculative
 front-end walk, and an end-to-end
@@ -36,7 +36,6 @@ from repro.campaign import CampaignRunner, CampaignSpec, PolicySpec
 from repro.cgra.fabric import FabricGeometry
 from repro.fleet import FleetRunner, FleetSpec, expand_shard
 from repro.frontend import FrontEndSpec
-from repro.kernels import active_backend
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
 from repro.dbt.window import build_unit
@@ -72,12 +71,16 @@ REPLAY_POLICIES = (
 
 
 def _scalar_launches_per_sec(unit, n_launches: int) -> float:
+    """Launch-at-a-time throughput: ``n_launches`` queued ``allocate``
+    calls, placed by the ``tracker`` read inside the stopwatch (one
+    batch for the whole queue)."""
     allocator = ConfigurationAllocator(
         FabricGeometry(rows=ROWS, cols=COLS), make_policy("rotation")
     )
     with obs.stopwatch("bench.scalar_allocate") as watch:
         for _ in range(n_launches):
             allocator.allocate(unit)
+        allocator.tracker
     return n_launches / watch.elapsed
 
 
@@ -192,8 +195,7 @@ def _spec_walk_metrics(n_walks: int) -> dict:
         policy="rotation",
         frontend=frontend,
     )
-    # Warm: builds and memoises the annotated stream (and JITs any
-    # compiled kernels on the speculative columns).
+    # Warm: builds and memoises the annotated stream.
     schedule = compute_schedule(params, trace)
     with obs.stopwatch("bench.spec_walk") as watch:
         for _ in range(n_walks):
@@ -344,13 +346,8 @@ def run(
     routing_rate = _routing_profiles_per_sec(trace, unit, routing_profiles)
     records = [trace[offset] for offset in range(unit.n_instructions)]
     profile = routing_profile(unit, records, geometry)
-    backend = active_backend()
     record = {
         "benchmark": "rotation_allocation",
-        # The backend tags every record so the perf-smoke guard only
-        # compares floors within the same backend (compiled numbers
-        # must never mask a numpy-path regression).
-        "kernel_backend": backend.backend,
         "fabric": f"L{COLS}xW{ROWS}",
         "unit_cells": len(unit.cells),
         "scalar_launches": scalar_launches,
@@ -368,8 +365,6 @@ def run(
         "peak_line_pressure": profile.peak_pressure,
         "ctx_lines_sized": geometry.ctx_lines,
     }
-    if backend.numba_version is not None:
-        record["numba_version"] = backend.numba_version
     record.update(_replay_metrics(schedule_replays))
     record.update(_walk_metrics(walk_rounds))
     record.update(_spec_walk_metrics(spec_walks))
@@ -393,12 +388,6 @@ def _host_provenance() -> dict:
         "cpu_count": os.cpu_count(),
         "numpy_version": np.__version__,
     }
-    try:
-        import numba
-    except Exception:
-        pass
-    else:
-        provenance["numba_version"] = numba.__version__
     return provenance
 
 
@@ -470,9 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         obs.set_enabled(True)
         obs.reset()
         obs.tracing.start()
-    # Self-describing campaign logs: say which kernel backend the
-    # numbers were measured on, and why it was selected.
-    print(f"[kernel backend: {active_backend().describe()}]")
     if args.quick:
         record = run(
             scalar_launches=2_000,

@@ -8,6 +8,8 @@ debugging new movement patterns.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import PhysicalPlacement
@@ -53,11 +55,11 @@ def render_movement_sequence(
     ``allocator`` is a :class:`~repro.core.allocator.ConfigurationAllocator`;
     its policy state advances as a side effect (as in a real run).
     """
-    frames = []
-    for index in range(launches):
-        placement = allocator.allocate(config)
-        frames.append(render_placement(geometry, placement, index))
-    return "\n\n".join(frames)
+    batch = allocator.allocate_batch([config] * launches)
+    return "\n\n".join(
+        render_placement(geometry, batch.placement(index), index)
+        for index in range(launches)
+    )
 
 
 def wrap_demonstration(geometry: FabricGeometry) -> str:
@@ -66,7 +68,7 @@ def wrap_demonstration(geometry: FabricGeometry) -> str:
     from repro.cgra.configuration import PlacedOp
     from repro.cgra.fu import FUKind
     from repro.core.allocator import ConfigurationAllocator
-    from repro.core.policy import make_policy
+    from repro.core.policy import AllocationPolicy, SegmentPlan
 
     ops = tuple(
         PlacedOp("add", FUKind.ALU, row=r, col=c, width=1,
@@ -83,20 +85,17 @@ def wrap_demonstration(geometry: FabricGeometry) -> str:
         geometry_cols=geometry.cols,
     )
 
-    class _CornerPolicy:
+    class _CornerPolicy(AllocationPolicy):
         name = "corner"
+        plan_granularity = "schedule"
 
-        def bind(self, geometry_):
-            pass
-
-        def next_pivot(self, config_, tracker):
-            return (geometry.rows - 1, geometry.cols - 1)
-
-        def observe(self, config_, pivot):
-            pass
+        def plan_segments(self, schedule, tracker):
+            count = schedule.n_launches
+            pivots = np.tile((geometry.rows - 1, geometry.cols - 1), (count, 1))
+            yield SegmentPlan(start=0, stop=count, pivots=pivots)
 
     allocator = ConfigurationAllocator(geometry, _CornerPolicy())
-    placement = allocator.allocate(config)
+    placement = allocator.allocate_batch([config]).placement(0)
     header = (
         "wrap-around: a 2x2 block anchored at the far corner folds back "
         "onto row 1 / column 1"

@@ -5,11 +5,10 @@ A *virtual configuration* produced by the DBT is anchored at origin
 *pivot* — the physical cell where the virtual origin lands — and the
 :class:`ConfigurationAllocator` translates every op by that pivot with
 wrap-around in both axes (Fig. 3), recording per-FU stress in a
-:class:`UtilizationTracker`. Batched, the policy plans *whole launch
-schedules* as :class:`SegmentPlan` sequences (see
-:mod:`repro.core.policy` for the protocol and migration notes);
-``next_pivot``-only policies keep working through
-:class:`LegacyPolicyAdapter`.
+:class:`UtilizationTracker`. A policy has one protocol: it plans a
+launch sequence as a series of :class:`SegmentPlan` objects (see
+:mod:`repro.core.policy`). The allocator has one engine that drives it
+(``allocate_batch``); ``allocate`` queues single launches for it.
 
 Policies:
 
@@ -35,7 +34,6 @@ from repro.core.patterns import (
 from repro.core.policy import (
     PLAN_GRANULARITIES,
     AllocationPolicy,
-    LegacyPolicyAdapter,
     ScheduleView,
     SegmentPlan,
     available_policies,
@@ -52,7 +50,6 @@ __all__ = [
     "AllocationPolicy",
     "BaselinePolicy",
     "ConfigurationAllocator",
-    "LegacyPolicyAdapter",
     "MOVEMENT_PATTERNS",
     "PLAN_GRANULARITIES",
     "PhysicalPlacement",

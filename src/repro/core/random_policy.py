@@ -13,7 +13,6 @@ import random
 
 import numpy as np
 
-from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.core.policy import AllocationPolicy, SegmentPlan, register_policy
 
@@ -34,32 +33,19 @@ class RandomPolicy(AllocationPolicy):
         super().bind(geometry)
         self._rng = random.Random(self.seed)
 
-    def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
-        return (
-            self._rng.randrange(self.geometry.rows),
-            self._rng.randrange(self.geometry.cols),
-        )
-
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        # Draws stay on the scalar ``random.Random`` stream (not a
-        # numpy generator) so batched and scalar sequences are
-        # bit-identical for the same seed.
+    def plan_segments(self, schedule, tracker):
+        """One whole-schedule segment. Draws stay on the scalar
+        ``random.Random`` stream (two ``randrange`` calls per launch, row
+        first), so the pivot sequence for a seed does not depend on how
+        the launches are batched."""
+        count = schedule.n_launches
         rows, cols = self.geometry.rows, self.geometry.cols
         randrange = self._rng.randrange
         pivots = np.empty((count, 2), dtype=np.int64)
         for index in range(count):
             pivots[index, 0] = randrange(rows)
             pivots[index, 1] = randrange(cols)
-        return pivots
-
-    def plan_segments(self, schedule, tracker):
-        """One whole-schedule segment on the scalar RNG stream."""
-        count = schedule.n_launches
-        yield SegmentPlan(
-            start=0, stop=count, pivots=self.next_pivots(None, tracker, count)
-        )
+        yield SegmentPlan(start=0, stop=count, pivots=pivots)
 
     def describe(self) -> str:
         return f"random(seed={self.seed})"

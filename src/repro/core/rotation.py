@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.core.patterns import movement_pattern
 from repro.core.policy import AllocationPolicy, SegmentPlan, register_policy
@@ -37,43 +36,28 @@ class RotationPolicy(AllocationPolicy):
     def __init__(self, pattern: str = "snake", stride: int = 1) -> None:
         self.pattern_name = pattern
         self.stride = stride
-        self._pattern: list[tuple[int, int]] = []
         self._pattern_array = np.empty((0, 2), dtype=np.int64)
         self._position = 0
 
     def bind(self, geometry: FabricGeometry) -> None:
         super().bind(geometry)
-        self._pattern = movement_pattern(
-            self.pattern_name, geometry.rows, geometry.cols
+        self._pattern_array = np.asarray(
+            movement_pattern(self.pattern_name, geometry.rows, geometry.cols),
+            dtype=np.int64,
         )
-        self._pattern_array = np.asarray(self._pattern, dtype=np.int64)
         self._position = 0
-
-    def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
-        pivot = self._pattern[self._position]
-        self._position = (self._position + self.stride) % len(self._pattern)
-        return pivot
-
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        # The pivot sequence is a pure function of the hardware
-        # counter, so a batch is one strided gather from the pattern.
-        length = len(self._pattern)
-        positions = (
-            self._position + self.stride * np.arange(count, dtype=np.int64)
-        ) % length
-        self._position = int(
-            (self._position + self.stride * count) % length
-        )
-        return self._pattern_array[positions]
 
     def plan_segments(self, schedule, tracker):
         """The hardware counter never reads stress: one strided gather
         from the pattern covers the whole schedule."""
         count = schedule.n_launches
+        length = len(self._pattern_array)
+        positions = (
+            self._position + self.stride * np.arange(count, dtype=np.int64)
+        ) % length
+        self._position = int((self._position + self.stride * count) % length)
         yield SegmentPlan(
-            start=0, stop=count, pivots=self.next_pivots(None, tracker, count)
+            start=0, stop=count, pivots=self._pattern_array[positions]
         )
 
     def describe(self) -> str:

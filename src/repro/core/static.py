@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cgra.configuration import VirtualConfiguration
 from repro.core.policy import AllocationPolicy, SegmentPlan, register_policy
 
 
@@ -19,14 +18,6 @@ class BaselinePolicy(AllocationPolicy):
 
     name = "baseline"
     plan_granularity = "schedule"
-
-    def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
-        return (0, 0)
-
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        return np.zeros((count, 2), dtype=np.int64)
 
     def plan_segments(self, schedule, tracker):
         """One all-origin segment covers any schedule."""

@@ -48,24 +48,6 @@ class StaticRemapPolicy(AllocationPolicy):
             dtype=np.int64,
         )
 
-    def next_pivot(
-        self, config: VirtualConfiguration, tracker
-    ) -> tuple[int, int]:
-        pivot = self._pivots.get(config.start_pc)
-        if pivot is None:
-            pivot = self._choose_pivot(config, tracker)
-            self._pivots[config.start_pc] = pivot
-        return pivot
-
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        # The frozen pivot only depends on the tracker state at the
-        # configuration's *first* launch, so a whole run is one choice
-        # tiled — exactly what the scalar loop would produce.
-        pivot = self.next_pivot(config, tracker)
-        return np.tile(np.asarray(pivot, dtype=np.int64), (count, 1))
-
     def plan_segments(self, schedule, tracker):
         """One segment per *remap epoch*: a new segment opens exactly
         at the first launch of a not-yet-frozen configuration, because
@@ -83,7 +65,7 @@ class StaticRemapPolicy(AllocationPolicy):
                 if start > segment_start:
                     # Close the running epoch; the allocator records it
                     # before resuming us, so the tracker read below
-                    # sees exactly the scalar-loop state at ``start``.
+                    # sees the stress of every launch before ``start``.
                     yield SegmentPlan(
                         start=segment_start,
                         stop=start,

@@ -13,10 +13,8 @@ snake in between — a realistic duty cycle for a hardware controller.
 
 The search itself is vectorized: every candidate pattern pivot's
 stressed footprint is a row of one integer index matrix, and the
-min-max selection happens in numpy. The batched ``next_pivots`` hook
-replays the launch-by-launch stress accrual on a working copy of the
-counters, so a whole batch is bit-identical to the scalar loop it
-replaces.
+min-max selection happens in numpy
+(:func:`~repro.core.policy.min_stress_index`).
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ from repro.core.policy import (
     AllocationPolicy,
     SegmentPlan,
     candidate_footprints,
+    min_stress_index,
     register_policy,
 )
-from repro.kernels.stress_plan import best_pivot, snake_pivots
 
 
 @register_policy
@@ -62,9 +60,7 @@ class StressAwarePolicy(AllocationPolicy):
         self.interval = interval
         self.pattern_name = pattern
         self.sensor = sensor
-        self._pattern: list[tuple[int, int]] = []
         self._pattern_array = np.empty((0, 2), dtype=np.int64)
-        self._pattern_index: dict[tuple[int, int], int] = {}
         self._position = 0
         self._launches = 0
         # (config, footprint-matrix) memo for the pivot search, keyed
@@ -76,68 +72,15 @@ class StressAwarePolicy(AllocationPolicy):
 
     def bind(self, geometry: FabricGeometry) -> None:
         super().bind(geometry)
-        self._pattern = movement_pattern(
-            self.pattern_name, geometry.rows, geometry.cols
+        self._pattern_array = np.asarray(
+            movement_pattern(self.pattern_name, geometry.rows, geometry.cols),
+            dtype=np.int64,
         )
-        self._pattern_array = np.asarray(self._pattern, dtype=np.int64)
-        self._pattern_index = {
-            pivot: index for index, pivot in enumerate(self._pattern)
-        }
         self._position = 0
         self._launches = 0
         self._footprint_memo = {}
         if self.sensor is not None:
             self.sensor.reset()
-
-    def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
-        self._launches += 1
-        if self._launches % self.interval == 1 or self.interval == 1:
-            pivot = self._best_pivot(config, tracker.execution_counts)
-            self._position = self._pattern_index[pivot]
-            return pivot
-        self._position = (self._position + 1) % len(self._pattern)
-        return self._pattern[self._position]
-
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        """Batch-exact pivot run: simulates the stress the batch's own
-        launches accrue on a working copy of the counters, so search
-        launches inside the batch see exactly the counter state the
-        scalar loop would have shown them.
-
-        The counter copy and the per-pattern footprint matrix are only
-        materialised on the first *search* launch of the run — pure
-        snake-following runs (the common case away from re-search
-        boundaries, and every ``count == 1`` non-search launch from the
-        scalar wrapper) stay O(1).
-        """
-        pivots = np.empty((count, 2), dtype=np.int64)
-        counts = None
-        flat_counts = None
-        footprints = None
-        pending: list[int] = []  # positions launched before first search
-        for index in range(count):
-            self._launches += 1
-            if self._launches % self.interval == 1 or self.interval == 1:
-                if footprints is None:
-                    footprints = self._pattern_footprints(config)
-                    counts = np.array(tracker.execution_counts, dtype=np.int64)
-                    flat_counts = counts.reshape(-1)
-                    for position in pending:
-                        flat_counts[footprints[position]] += 1
-                    pending.clear()
-                self._position = best_pivot(
-                    self._visible_counts(counts).reshape(-1), footprints
-                )
-            else:
-                self._position = (self._position + 1) % len(self._pattern)
-            pivots[index] = self._pattern_array[self._position]
-            if footprints is None:
-                pending.append(self._position)
-            else:
-                flat_counts[footprints[self._position]] += 1
-        return pivots
 
     def plan_segments(self, schedule, tracker):
         """One segment per re-search window: each segment opens on a
@@ -148,22 +91,21 @@ class StressAwarePolicy(AllocationPolicy):
         pure vectorized gather from the movement pattern. This is what
         closes the replay gap to the whole-schedule policies: the
         allocator's per-segment work is amortised over ``interval``
-        launches instead of per run-of-~1 ``next_pivots`` calls.
+        launches instead of per launch.
         """
         n_launches = schedule.n_launches
         configs = schedule.configs
-        length = len(self._pattern)
+        length = len(self._pattern_array)
         index = 0
         while index < n_launches:
             self._launches += 1
             if self._launches % self.interval == 1 or self.interval == 1:
                 # Search launch: reading the tracker flushes all
                 # previously planned launches, so the candidate scan
-                # sees exactly the scalar-loop counter state.
-                pivot = self._best_pivot(
+                # sees the stress of every launch before this one.
+                self._position = self._best_position(
                     configs[index], tracker.execution_counts
                 )
-                self._position = self._pattern_index[pivot]
             else:
                 self._position = (self._position + 1) % length
             # Snake-follow until the launch before the next search:
@@ -172,7 +114,9 @@ class StressAwarePolicy(AllocationPolicy):
             # before the counter gets there again.
             follow = (-self._launches) % self.interval
             count = min(1 + follow, n_launches - index)
-            pivots = snake_pivots(self._pattern_array, self._position, count)
+            pivots = self._pattern_array[
+                (self._position + np.arange(count)) % length
+            ]
             self._position = (self._position + count - 1) % length
             self._launches += count - 1
             yield SegmentPlan(
@@ -182,28 +126,19 @@ class StressAwarePolicy(AllocationPolicy):
             )
             index += count
 
-    def _visible_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Counters as the controller sees them (sensor-filtered)."""
-        if self.sensor is None:
-            return counts
-        view = counts.view()
-        view.flags.writeable = False
-        return self.sensor.read(view)
-
-    def _best_pivot(
+    def _best_position(
         self, config: VirtualConfiguration, counts: np.ndarray
-    ) -> tuple[int, int]:
-        """Pivot minimising the max stress over the cells it would touch.
+    ) -> int:
+        """Pattern position of the pivot minimising the max stress over
+        the cells it would touch.
 
         Ties break towards lower current totals, then pattern order, so
         behaviour is deterministic.
         """
         if self.sensor is not None:
             counts = self.sensor.read(counts)
-        best = best_pivot(
-            np.asarray(counts).reshape(-1), self._pattern_footprints(config)
-        )
-        return self._pattern[best]
+        flat = np.asarray(counts).reshape(-1)
+        return min_stress_index(flat[self._pattern_footprints(config)])
 
     def _pattern_footprints(self, config: VirtualConfiguration) -> np.ndarray:
         """``config``'s stressed cells under every pattern pivot,

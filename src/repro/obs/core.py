@@ -146,7 +146,7 @@ def observe(name: str, value: float) -> None:
 
 def note(name: str, message: str) -> None:
     """Record a one-line diagnostic string (last write wins) — e.g.
-    kernel-fallback reasons that would otherwise only be a warning."""
+    a fallback reason that would otherwise only be a warning."""
     if not state.enabled:
         return
     state.notes[name] = str(message)

@@ -13,13 +13,16 @@ per policy:
   is attached, which is required exactly when the mapper is
   *stress-coupled* (it reads the allocator's live stress map, closing
   the feedback loop that makes the launch stream policy-dependent).
+  The coupled walk queues each launch on the allocator; the queue is
+  placed in one batch whenever the mapper reads the stress map.
 * **Phase B — replay** (:func:`replay_schedule`): any allocation
   policy is applied to a recorded schedule through
   :meth:`~repro.core.allocator.ConfigurationAllocator.allocate_batch`,
   reconstructing the policy-dependent utilization tracker without
   touching the trace. Replay is bit-identical to the interleaved walk
-  (the batch engine is property-tested against the scalar loop, and
-  ``tests/test_schedule_equivalence.py`` pins the system level).
+  (the batch engine is property-tested against a per-launch reference
+  allocator, and ``tests/test_schedule_equivalence.py`` pins the
+  system level).
 
 The walk is *columnar*. It takes the trace's PCs, class codes and
 memory addresses as Python lists once per walk, plus a memory-op
@@ -270,9 +273,10 @@ def compute_schedule(
     """Walk ``trace`` once and record its launch schedule.
 
     With ``allocator`` the walk is *coupled*: every recorded launch is
-    also allocated immediately (scalar fast path), so stress-coupled
-    mappers see the live stress map exactly as the legacy
-    single-phase simulation did. Without it the walk is
+    queued on it (:meth:`~repro.core.allocator.ConfigurationAllocator.allocate`),
+    and each read of the live stress map by a stress-coupled mapper
+    first places the queued launches in one batch, so the mapper sees
+    the stress of every launch before it. Without it the walk is
     policy-independent; a stress-coupled mapper then raises, because
     its placements would silently diverge from the coupled pipeline.
 

@@ -17,9 +17,10 @@ policy-independent :class:`~repro.system.schedule.LaunchSchedule`
 (everything above plus the activity counts the energy model needs),
 and the allocation policy is applied either *coupled* — interleaved
 with the walk, required when the mapper reads the allocator's live
-stress map — or as a vectorized *replay* of a schedule shared across
-every policy of the same pipeline (the default; bit-identical, and the
-lever that makes policy-sweep campaigns cheap). Replay hands the
+stress map (launches queue on the allocator and are placed in one
+batch at each stress read) — or as a vectorized *replay* of a schedule
+shared across every policy of the same pipeline (the default;
+bit-identical, and the lever that makes policy-sweep campaigns cheap). Replay hands the
 policy the whole launch sequence as segment plans
 (:meth:`~repro.core.policy.AllocationPolicy.plan_segments`), so even
 stress-searching policies replay in a few vectorized passes per search

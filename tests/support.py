@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -10,10 +11,11 @@ from repro import obs
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.datapath import configuration_cycles, execution_cycles
 from repro.cgra.reconfig import ReconfigLogicSpec
-from repro.core.allocator import ConfigurationAllocator
+from repro.core.patterns import movement_pattern
+from repro.core.utilization import UtilizationTracker
 from repro.dbt.config_cache import ConfigCache
 from repro.dbt.translator import DBTEngine
-from repro.errors import ConfigurationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.frontend.speculative import speculative_trace
 from repro.gpp.timing import GPPTimingModel
 from repro.hw.energy import SystemActivity
@@ -79,6 +81,121 @@ def reset_rec_pcs(base: int = 0x1000) -> None:
 
 
 # ----------------------------------------------------------------------
+# Reference allocator
+
+
+class ReferenceAllocator:
+    """Per-launch allocation oracle for the built-in policies.
+
+    Each :meth:`allocate` call places its launch at once: the pivot is
+    chosen from the stress of every earlier launch, the configuration's
+    cells are translated with wrap-around and recorded through
+    :meth:`UtilizationTracker.record`. The five policy rules are
+    re-implemented here in plain Python and share no code with the
+    production policies or the batch engine:
+
+    * baseline: the pivot stays at the origin;
+    * rotation: a counter steps ``stride`` positions along the pattern;
+    * random: two ``randrange`` draws (row, then column) per launch;
+    * static_remap: the raster-order min-max pivot, frozen per
+      ``start_pc`` at its first launch;
+    * stress_aware: a min-max search over the pattern whenever the
+      launch counter is 1 mod ``interval`` (through the sensor when one
+      is given), one snake step otherwise.
+
+    Searches scan candidates in order and keep the first with the
+    lowest ``(max, sum)`` stress.
+    """
+
+    def __init__(self, geometry, policy_name, **kwargs):
+        self.geometry = geometry
+        self.tracker = UtilizationTracker(geometry)
+        self.launches = 0
+        self.pivots: list[tuple[int, int]] = []
+        self._choose = getattr(self, f"_{policy_name}")
+        self._kwargs = kwargs
+        pattern = kwargs.get("pattern", "snake")
+        self._pattern = movement_pattern(pattern, geometry.rows, geometry.cols)
+        self._position = 0
+        self._counter = 0
+        self._frozen: dict[int, tuple[int, int]] = {}
+        self._rng = random.Random(kwargs.get("seed", 0))
+        if kwargs.get("sensor") is not None:
+            kwargs["sensor"].reset()
+
+    def allocate(self, config, cycles: int = 1) -> tuple[int, int]:
+        rows, cols = self.geometry.rows, self.geometry.cols
+        if config.geometry_rows > rows or config.geometry_cols > cols:
+            raise AllocationError("configuration does not fit the fabric")
+        if len(set(self.cells(config, (0, 0)))) != len(config.cells):
+            raise AllocationError("wrap-around folds two ops onto one cell")
+        pivot = self._choose(config)
+        self.tracker.record(
+            config.start_pc, self.cells(config, pivot), cycles=cycles
+        )
+        self.launches += 1
+        self.pivots.append(pivot)
+        return pivot
+
+    def cells(self, config, pivot):
+        """``config``'s physical cells under ``pivot``, wrapped."""
+        rows, cols = self.geometry.rows, self.geometry.cols
+        return tuple(
+            ((row + pivot[0]) % rows, (col + pivot[1]) % cols)
+            for row, col in config.cells
+        )
+
+    def _coolest(self, config, candidates, counts):
+        """First candidate pivot with the lowest (max, sum) stress."""
+        best, best_key = None, None
+        for pivot in candidates:
+            values = [int(counts[cell]) for cell in self.cells(config, pivot)]
+            key = (max(values), sum(values))
+            if best_key is None or key < best_key:
+                best, best_key = pivot, key
+        return best
+
+    def _baseline(self, config):
+        return (0, 0)
+
+    def _rotation(self, config):
+        pivot = self._pattern[self._position]
+        stride = self._kwargs.get("stride", 1)
+        self._position = (self._position + stride) % len(self._pattern)
+        return pivot
+
+    def _random(self, config):
+        row = self._rng.randrange(self.geometry.rows)
+        return (row, self._rng.randrange(self.geometry.cols))
+
+    def _static_remap(self, config):
+        if config.start_pc not in self._frozen:
+            raster = [
+                (row, col)
+                for row in range(self.geometry.rows)
+                for col in range(self.geometry.cols)
+            ]
+            self._frozen[config.start_pc] = self._coolest(
+                config, raster, self.tracker.execution_counts
+            )
+        return self._frozen[config.start_pc]
+
+    def _stress_aware(self, config):
+        interval = self._kwargs.get("interval", 16)
+        self._counter += 1
+        if interval == 1 or self._counter % interval == 1:
+            counts = self.tracker.execution_counts
+            sensor = self._kwargs.get("sensor")
+            if sensor is not None:
+                counts = sensor.read(counts)
+            best = self._coolest(config, self._pattern, counts)
+            self._position = self._pattern.index(best)
+        else:
+            self._position = (self._position + 1) % len(self._pattern)
+        return self._pattern[self._position]
+
+
+# ----------------------------------------------------------------------
 # Reference Phase A walk
 
 
@@ -120,7 +237,7 @@ def _reference_record_cycles(gpp: GPPTimingModel, record: TraceRecord) -> int:
 def reference_compute_schedule(
     params: SystemParams,
     trace: Trace,
-    allocator: ConfigurationAllocator | None = None,
+    allocator: ReferenceAllocator | None = None,
 ) -> LaunchSchedule:
     """The per-record Phase A walk, kept as an independent oracle.
 
@@ -130,7 +247,8 @@ def reference_compute_schedule(
     accumulated per launch and per GPP record, and clean and
     speculative streams take separate branches. The production walk
     must produce an equal :class:`LaunchSchedule`, dict key order
-    included.
+    included. A coupled walk takes a :class:`ReferenceAllocator`, so
+    the mapper reads stress placed launch by launch.
     """
     if params.frontend is not None and not trace.speculative:
         trace = speculative_trace(trace, params.frontend)

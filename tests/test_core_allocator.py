@@ -1,4 +1,9 @@
-"""Tests for allocation policies and the configuration allocator."""
+"""Tests for allocation policies and the configuration allocator.
+
+Per-launch behaviour is checked through the engine (queued
+``allocate`` and ``allocate_batch``) and, where a policy's pivot stream
+is the point, against :class:`tests.support.ReferenceAllocator`.
+"""
 
 import numpy as np
 import pytest
@@ -9,9 +14,15 @@ from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import FUKind
 from repro.core.allocator import ConfigurationAllocator
-from repro.core.policy import available_policies, make_policy
-from repro.core.utilization import UtilizationTracker, Weighting
+from repro.core.policy import (
+    AllocationPolicy,
+    SegmentPlan,
+    available_policies,
+    make_policy,
+)
 from repro.errors import AllocationError, ConfigurationError
+
+from tests.support import ReferenceAllocator
 
 
 def config(cells, rows=2, cols=8, start_pc=0x1000):
@@ -36,6 +47,19 @@ def allocator(policy_name="baseline", rows=2, cols=8, **kwargs):
     return ConfigurationAllocator(geometry, make_policy(policy_name, **kwargs))
 
 
+def placements(alloc, c, launches):
+    """Place ``launches`` launches of ``c``; their placements in order."""
+    batch = alloc.allocate_batch([c] * launches)
+    return [batch.placement(index) for index in range(launches)]
+
+
+def reference_pivots(policy_name, c, launches, rows=2, cols=8, **kwargs):
+    reference = ReferenceAllocator(
+        FabricGeometry(rows=rows, cols=cols), policy_name, **kwargs
+    )
+    return [reference.allocate(c) for _ in range(launches)]
+
+
 class TestRegistry:
     def test_all_policies_registered(self):
         names = available_policies()
@@ -51,8 +75,7 @@ class TestBaseline:
     def test_pivot_always_origin(self):
         alloc = allocator("baseline")
         c = config([(0, 0), (1, 1)])
-        for _ in range(5):
-            placement = alloc.allocate(c)
+        for placement in placements(alloc, c, 5):
             assert placement.pivot == (0, 0)
             assert placement.cells == ((0, 0), (1, 1))
 
@@ -70,19 +93,20 @@ class TestRotation:
     def test_pivots_follow_snake(self):
         alloc = allocator("rotation", rows=2, cols=4)
         c = config([(0, 0)], rows=2, cols=4)
-        pivots = [alloc.allocate(c).pivot for _ in range(8)]
+        pivots = [p.pivot for p in placements(alloc, c, 8)]
         assert pivots == [
             (0, 0), (0, 1), (0, 2), (0, 3),
             (1, 3), (1, 2), (1, 1), (1, 0),
         ]
+        assert pivots == reference_pivots("rotation", c, 8, rows=2, cols=4)
 
     def test_wrap_around(self):
         alloc = allocator("rotation", rows=2, cols=4)
         c = config([(0, 0), (0, 3), (1, 0)], rows=2, cols=4)
-        placements = [alloc.allocate(c) for _ in range(2)]
+        second = placements(alloc, c, 2)[1]
         # Second launch pivot (0,1): cell (0,3) wraps to (0,0).
-        assert placements[1].pivot == (0, 1)
-        assert (0, 0) in placements[1].cells
+        assert second.pivot == (0, 1)
+        assert (0, 0) in second.cells
 
     def test_full_sweep_uniform(self):
         """After exactly rows*cols launches every physical cell has been
@@ -105,7 +129,7 @@ class TestRotation:
     def test_alternative_pattern(self):
         alloc = allocator("rotation", rows=2, cols=4, pattern="raster")
         c = config([(0, 0)], rows=2, cols=4)
-        pivots = [alloc.allocate(c).pivot for _ in range(4)]
+        pivots = [p.pivot for p in placements(alloc, c, 4)]
         assert pivots == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
@@ -114,9 +138,10 @@ class TestRandom:
         a = allocator("random", seed=7)
         b = allocator("random", seed=7)
         c = config([(0, 0)])
-        pivots_a = [a.allocate(c).pivot for _ in range(20)]
-        pivots_b = [b.allocate(c).pivot for _ in range(20)]
+        pivots_a = [p.pivot for p in placements(a, c, 20)]
+        pivots_b = [p.pivot for p in placements(b, c, 20)]
         assert pivots_a == pivots_b
+        assert pivots_a == reference_pivots("random", c, 20, seed=7)
 
     def test_spreads_over_fabric(self):
         alloc = allocator("random", rows=2, cols=8, seed=3)
@@ -153,29 +178,75 @@ class TestStressAware:
 
 
 class TestAllocatorValidation:
-    def test_oversized_config_rejected(self):
+    def test_oversized_config_rejected_at_flush(self):
         alloc = allocator("baseline", rows=2, cols=8)
         big = config([(0, 0)], rows=4, cols=8)
+        alloc.allocate(big)  # queued: placed at the next read
         with pytest.raises(AllocationError):
-            alloc.allocate(big)
+            alloc.tracker
+        assert alloc.launches == 0
 
     def test_pivot_out_of_range_rejected(self):
-        class BadPolicy:
+        class BadPolicy(AllocationPolicy):
             name = "bad"
 
-            def bind(self, geometry):
-                pass
-
-            def next_pivot(self, config_, tracker):
-                return (99, 0)
-
-            def observe(self, config_, pivot):
-                pass
+            def plan_segments(self, schedule, tracker):
+                count = schedule.n_launches
+                pivots = np.tile((99, 0), (count, 1))
+                yield SegmentPlan(start=0, stop=count, pivots=pivots)
 
         geometry = FabricGeometry(rows=2, cols=8)
         alloc = ConfigurationAllocator(geometry, BadPolicy())
-        with pytest.raises(AllocationError):
-            alloc.allocate(config([(0, 0)]))
+        with pytest.raises(AllocationError, match="outside"):
+            alloc.allocate_batch([config([(0, 0)])])
+
+    def test_base_policy_has_no_plan(self):
+        alloc = ConfigurationAllocator(
+            FabricGeometry(rows=2, cols=8), AllocationPolicy()
+        )
+        with pytest.raises(NotImplementedError):
+            alloc.allocate_batch([config([(0, 0)])])
+
+
+class TestQueuedAllocate:
+    class CountingPolicy(AllocationPolicy):
+        """Origin pivots; counts how often the engine plans."""
+
+        name = "counting"
+        plan_granularity = "schedule"
+
+        def __init__(self):
+            self.plans = 0
+
+        def plan_segments(self, schedule, tracker):
+            self.plans += 1
+            count = schedule.n_launches
+            yield SegmentPlan(
+                start=0, stop=count, pivots=np.zeros((count, 2), np.int64)
+            )
+
+    def test_allocate_queues_until_a_read(self):
+        policy = self.CountingPolicy()
+        alloc = ConfigurationAllocator(FabricGeometry(rows=2, cols=8), policy)
+        c = config([(0, 0), (1, 1)])
+        for cycles in (3, 4, 5):
+            assert alloc.allocate(c, cycles=cycles) is None
+        assert policy.plans == 0
+        assert alloc.launches == 3
+        assert policy.plans == 1  # one batch for the whole queue
+        assert alloc.tracker.total_cycles == 12
+        assert policy.plans == 1  # nothing queued: no further batch
+
+    def test_batch_places_queued_launches_first(self):
+        alloc = allocator("rotation", rows=2, cols=4)
+        c = config([(0, 0)], rows=2, cols=4)
+        alloc.allocate(c)
+        alloc.allocate(c)
+        batch = alloc.allocate_batch([c] * 2)
+        # The batch's own launches continue the counter after the queue.
+        assert batch.n_launches == 2
+        assert [tuple(p) for p in batch.pivots] == [(0, 2), (0, 3)]
+        assert alloc.launches == 4
 
 
 class TestAllocatorProperties:
@@ -186,8 +257,7 @@ class TestAllocatorProperties:
     def test_cells_always_in_bounds(self, pivot_count, seed):
         alloc = allocator("random", rows=2, cols=8, seed=seed)
         c = config([(0, 0), (1, 3), (0, 7)], rows=2, cols=8)
-        for _ in range(pivot_count):
-            placement = alloc.allocate(c)
+        for placement in placements(alloc, c, pivot_count):
             for row, col in placement.cells:
                 assert 0 <= row < 2
                 assert 0 <= col < 8
@@ -197,5 +267,5 @@ class TestAllocatorProperties:
         alloc = allocator("random", rows=2, cols=8, seed=seed)
         cells = [(0, 0), (0, 1), (1, 0), (1, 7), (0, 4)]
         c = config(cells, rows=2, cols=8)
-        placement = alloc.allocate(c)
+        (placement,) = placements(alloc, c, 1)
         assert len(set(placement.cells)) == len(cells)

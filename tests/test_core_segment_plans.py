@@ -1,17 +1,14 @@
 """The sequence-planning policy protocol: segment plans, the schedule
-view, the legacy adapter and the allocator's plan validation.
+view and the allocator's plan validation.
 
 Companion to ``tests/test_batch_equivalence.py`` (which pins the
-engine's bit-identity to the scalar loop): this file pins the protocol
-itself — plan granularities, contiguity validation, the
-``LegacyPolicyAdapter`` fallback with its one-time DeprecationWarning,
-and the migrated ``examples/adaptive_policy.py`` custom policies (new
-protocol and legacy variant).
+engine's bit-identity to the per-launch reference allocator): this
+file pins the protocol itself — plan granularities, contiguity
+validation, and the custom policy of ``examples/adaptive_policy.py``.
 """
 
 import importlib.util
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +21,12 @@ from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import (
     PLAN_GRANULARITIES,
     AllocationPolicy,
-    LegacyPolicyAdapter,
     ScheduleView,
     SegmentPlan,
     iter_runs,
     make_policy,
     policy_class,
-    resolve_planner,
 )
-from repro.core.policy import _LEGACY_WARNED
 from repro.errors import AllocationError
 
 ROWS, COLS = 4, 8
@@ -108,20 +102,6 @@ class TestPlanGranularity:
     def test_base_class_defaults_to_per_launch(self):
         assert AllocationPolicy.plan_granularity == "launch"
 
-    def test_oblivious_derived_from_granularity(self):
-        assert make_policy("rotation").oblivious
-        assert make_policy("baseline").oblivious
-        assert make_policy("random").oblivious
-        assert not make_policy("static_remap").oblivious
-        assert not make_policy("stress_aware").oblivious
-
-    def test_legacy_oblivious_class_attribute_still_wins(self):
-        class Legacy(AllocationPolicy):
-            name = "legacy_oblivious"
-            oblivious = True
-
-        assert Legacy().oblivious
-
 
 class TestBuiltinPlans:
     def test_whole_schedule_policies_yield_one_segment(self):
@@ -165,105 +145,9 @@ class TestBuiltinPlans:
                 ScheduleView((CONFIG_A,) * 6), allocator.tracker
             )
         )
-        # Two scalar launches consumed the first half of the interval:
+        # Two queued launches consumed the first half of the interval:
         # the first segment only runs to the next search boundary.
         assert [(p.start, p.stop) for p in plans] == [(0, 2), (2, 6)]
-
-
-class FixedLegacyPolicy(AllocationPolicy):
-    """next_pivot-only policy: raster-walks pivots per launch."""
-
-    name = "fixed_legacy"
-
-    def __init__(self):
-        self._step = 0
-
-    def next_pivot(self, config, tracker):
-        pivot = (self._step % ROWS, self._step % COLS)
-        self._step += 1
-        return pivot
-
-
-class TestLegacyAdapter:
-    def test_adapter_yields_one_segment_per_run(self):
-        policy = FixedLegacyPolicy()
-        policy.bind(GEOMETRY)
-        adapter = LegacyPolicyAdapter(policy, warn=False)
-        view = ScheduleView((CONFIG_A, CONFIG_A, CONFIG_B))
-        plans = list(adapter.plan_segments(view, None))
-        assert [(p.start, p.stop) for p in plans] == [(0, 2), (2, 3)]
-        np.testing.assert_array_equal(
-            np.concatenate([p.pivots for p in plans]),
-            [[0, 0], [1, 1], [2, 2]],
-        )
-
-    def test_adapter_oblivious_policy_keeps_whole_schedule_path(self):
-        class LegacyOblivious(AllocationPolicy):
-            name = "legacy_oblivious_batch"
-            oblivious = True
-            calls = 0
-
-            def next_pivots(self, config, tracker, count):
-                type(self).calls += 1
-                return np.zeros((count, 2), dtype=np.int64)
-
-        policy = LegacyOblivious()
-        policy.bind(GEOMETRY)
-        adapter = LegacyPolicyAdapter(policy, warn=False)
-        plans = list(
-            adapter.plan_segments(
-                ScheduleView((CONFIG_A, CONFIG_B, CONFIG_A)), None
-            )
-        )
-        assert [(p.start, p.stop) for p in plans] == [(0, 3)]
-        assert LegacyOblivious.calls == 1
-
-    def test_adapter_empty_schedule_yields_nothing(self):
-        adapter = LegacyPolicyAdapter(FixedLegacyPolicy(), warn=False)
-        assert list(adapter.plan_segments(ScheduleView(()), None)) == []
-
-    def test_deprecation_warning_once_per_class(self):
-        class WarnOnce(FixedLegacyPolicy):
-            name = "warn_once"
-
-        _LEGACY_WARNED.discard(WarnOnce)
-        with pytest.warns(DeprecationWarning, match="plan_segments"):
-            LegacyPolicyAdapter(WarnOnce())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            LegacyPolicyAdapter(WarnOnce())  # second wrap: silent
-
-    def test_resolve_planner_prefers_policy_hook(self):
-        policy = make_policy("rotation")
-        assert resolve_planner(policy) == policy.plan_segments
-
-    def test_resolve_planner_wraps_legacy(self):
-        class Wrapped(FixedLegacyPolicy):
-            name = "wrapped_legacy"
-
-        policy = Wrapped()
-        policy.bind(GEOMETRY)
-        _LEGACY_WARNED.discard(Wrapped)
-        with pytest.warns(DeprecationWarning):
-            planner = resolve_planner(policy)
-        plans = list(planner(ScheduleView((CONFIG_A,)), None))
-        assert [(p.start, p.stop) for p in plans] == [(0, 1)]
-
-    def test_legacy_policy_batch_matches_scalar(self):
-        scalar = ConfigurationAllocator(GEOMETRY, FixedLegacyPolicy())
-        batched = ConfigurationAllocator(GEOMETRY, FixedLegacyPolicy())
-        sequence = [CONFIG_A, CONFIG_A, CONFIG_B, CONFIG_A, CONFIG_B]
-        pivots = [scalar.allocate(c).pivot for c in sequence]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            batch = batched.allocate_batch(sequence)
-        np.testing.assert_array_equal(
-            batch.pivots, np.asarray(pivots, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
-            batched.tracker.execution_counts,
-        )
 
 
 class _MisplannedPolicy(AllocationPolicy):
@@ -273,9 +157,6 @@ class _MisplannedPolicy(AllocationPolicy):
 
     def __init__(self, plans):
         self._plans = plans
-
-    def next_pivot(self, config, tracker):  # pragma: no cover
-        return (0, 0)
 
     def plan_segments(self, schedule, tracker):
         yield from self._plans
@@ -331,7 +212,7 @@ class TestPlanValidation:
 
     def test_tracker_consistent_after_bad_plan(self):
         """Segments accepted before the error are recorded; launches
-        and the tracker agree (the legacy per-run loop's guarantee)."""
+        and the tracker agree."""
         allocator, run = self._allocate(
             [SegmentPlan(0, 2, _zeros(2)), SegmentPlan(3, 4, _zeros(1))]
         )
@@ -350,32 +231,57 @@ def _load_example(name="example_adaptive_policy"):
     return module
 
 
+def _coolest_corner_per_launch(sequence, epoch):
+    """The example policy's rule, one launch at a time: every ``epoch``
+    launches re-anchor at the raster pivot whose footprint has the
+    lowest total stress (first wins), then hold it."""
+    reference = ConfigurationAllocator(GEOMETRY, make_policy("baseline"))
+    candidates = [(row, col) for row in range(ROWS) for col in range(COLS)]
+    pivot = (0, 0)
+    for launch, config in enumerate(sequence):
+        if launch % epoch == 0:
+            counts = reference.tracker.execution_counts
+            totals = [
+                sum(
+                    int(counts[(r + row) % ROWS, (c + col) % COLS])
+                    for r, c in config.cells
+                )
+                for row, col in candidates
+            ]
+            pivot = candidates[totals.index(min(totals))]
+        reference.allocate_batch([config], pivots=[pivot])
+    return reference.tracker
+
+
 class TestExamplePolicies:
-    """examples/adaptive_policy.py stays on the supported path: the
-    migrated sequence-planning policy and its legacy per-launch
-    variant are bit-identical, and the legacy one warns."""
+    """examples/adaptive_policy.py's custom policy stays on the
+    supported protocol and plans what its per-launch rule says."""
 
     @pytest.fixture(scope="class")
     def example(self):
         return _load_example()
 
-    def test_modern_and_legacy_variants_identical(self, example):
-        _LEGACY_WARNED.discard(example.LegacyCoolestCornerPolicy)
-        modern, legacy, deprecations = example.demo_custom_policy()
-        np.testing.assert_array_equal(
-            modern.execution_counts, legacy.execution_counts
-        )
-        np.testing.assert_array_equal(
-            modern.cycle_counts, legacy.cycle_counts
-        )
-        assert modern.config_footprints == legacy.config_footprints
-        assert len(deprecations) == 1
+    def test_demo_replays_the_schedule(self, example):
+        tracker = example.demo_custom_policy()
+        assert tracker.total_executions > 0
+        assert int(tracker.execution_counts.sum()) > tracker.total_executions
 
-    @pytest.mark.parametrize("epoch", [3, 5, 7, 16, 64])
-    def test_variants_identical_across_epochs(self, example, epoch):
-        """Bit-identity must hold for any epoch, not just the demo's —
-        the legacy variant's batch-exact ``next_pivots`` models its
-        own runs' stress so mid-run re-anchors see live counters."""
+    @pytest.mark.parametrize("epoch", [3, 5, 16])
+    def test_plans_match_per_launch_rule(self, example, epoch):
+        sequence = [CONFIG_A, CONFIG_B, CONFIG_B, CONFIG_A] * 9
+        planned = ConfigurationAllocator(
+            GEOMETRY, example.CoolestCornerPolicy(epoch=epoch)
+        )
+        planned.allocate_batch(sequence)
+        np.testing.assert_array_equal(
+            _coolest_corner_per_launch(sequence, epoch).execution_counts,
+            planned.tracker.execution_counts,
+        )
+
+    @pytest.mark.parametrize("epoch", [3, 7, 64])
+    def test_queued_launches_match_one_replay(self, example, epoch):
+        """The coupled walk's way in — queued launches flushed at
+        arbitrary reads — plans exactly what one replay plans."""
         from repro.system import SystemParams, replay_schedule, shared_schedule
         from repro.workloads.suite import run_workload
 
@@ -383,47 +289,26 @@ class TestExamplePolicies:
         schedule = shared_schedule(
             SystemParams(geometry=geometry), run_workload("crc32")
         )
-        modern = replay_schedule(
+        replayed = replay_schedule(
             schedule, geometry, example.CoolestCornerPolicy(epoch=epoch)
         )
-        legacy = replay_schedule(
-            schedule, geometry, example.LegacyCoolestCornerPolicy(epoch=epoch)
+        queued = ConfigurationAllocator(
+            geometry, example.CoolestCornerPolicy(epoch=epoch)
+        )
+        for index, (config, cycles) in enumerate(
+            zip(schedule.configs, schedule.exec_cycles)
+        ):
+            queued.allocate(config, cycles=int(cycles))
+            if index % 11 == 0:
+                queued.tracker  # flush point
+        np.testing.assert_array_equal(
+            replayed.tracker.execution_counts, queued.tracker.execution_counts
         )
         np.testing.assert_array_equal(
-            modern.tracker.execution_counts,
-            legacy.tracker.execution_counts,
+            replayed.tracker.cycle_counts, queued.tracker.cycle_counts
         )
 
-    @pytest.mark.parametrize("epoch", [3, 16])
-    def test_modern_variant_matches_scalar_loop(self, example, epoch):
-        """The ground truth is the scalar launch loop; both variants
-        must match it, not merely each other."""
-        sequence = [CONFIG_A, CONFIG_B, CONFIG_B, CONFIG_A] * 9
-        scalar = ConfigurationAllocator(
-            GEOMETRY, example.CoolestCornerPolicy(epoch=epoch)
-        )
-        planned = ConfigurationAllocator(
-            GEOMETRY, example.CoolestCornerPolicy(epoch=epoch)
-        )
-        legacy = ConfigurationAllocator(
-            GEOMETRY, example.LegacyCoolestCornerPolicy(epoch=epoch)
-        )
-        for config in sequence:
-            scalar.allocate(config)
-        planned.allocate_batch(sequence)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy.allocate_batch(sequence)
-        np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
-            planned.tracker.execution_counts,
-        )
-        np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
-            legacy.tracker.execution_counts,
-        )
-
-    def test_modern_variant_plans_epoch_segments(self, example):
+    def test_plans_epoch_segments(self, example):
         policy = example.CoolestCornerPolicy(epoch=4)
         policy.bind(GEOMETRY)
         allocator = ConfigurationAllocator(GEOMETRY, policy)
@@ -433,21 +318,3 @@ class TestExamplePolicies:
             )
         )
         assert [(p.start, p.stop) for p in plans] == [(0, 4), (4, 8), (8, 10)]
-
-    def test_scalar_and_planned_example_policy_agree(self, example):
-        sequence = [CONFIG_A, CONFIG_A, CONFIG_B] * 7
-        scalar = ConfigurationAllocator(
-            GEOMETRY, example.CoolestCornerPolicy(epoch=5)
-        )
-        batched = ConfigurationAllocator(
-            GEOMETRY, example.CoolestCornerPolicy(epoch=5)
-        )
-        pivots = [scalar.allocate(c).pivot for c in sequence]
-        batch = batched.allocate_batch(sequence)
-        np.testing.assert_array_equal(
-            batch.pivots, np.asarray(pivots, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
-            batched.tracker.execution_counts,
-        )

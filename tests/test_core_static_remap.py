@@ -19,20 +19,18 @@ class TestStaticRemap:
     def test_pivot_frozen_per_configuration(self):
         alloc = allocator()
         c = config([(0, 0)], rows=2, cols=4)
-        pivots = {alloc.allocate(c).pivot for _ in range(16)}
+        pivots = {tuple(p) for p in alloc.allocate_batch([c] * 16).pivots}
         assert len(pivots) == 1  # one static choice, reused forever
 
     def test_second_configuration_avoids_first(self):
         alloc = allocator()
         first = config([(0, 0)], rows=2, cols=4, start_pc=0x1000)
         second = config([(0, 0)], rows=2, cols=4, start_pc=0x2000)
-        for _ in range(8):
-            alloc.allocate(first)
-        placement = alloc.allocate(second)
+        batch = alloc.allocate_batch([first] * 8 + [second, first])
         # The static mapper sees first's accumulated stress and places
         # the new configuration on untouched FUs.
-        first_cell = alloc.allocate(first).cells[0]
-        assert placement.cells[0] != first_cell
+        first_cell = batch.placement(9).cells[0]
+        assert batch.placement(8).cells[0] != first_cell
 
     def test_cannot_balance_single_hot_configuration(self):
         """The paper's critique of static approaches: one configuration
@@ -66,7 +64,7 @@ class TestStaticRemap:
         geometry = FabricGeometry(rows=2, cols=4)
         alloc = ConfigurationAllocator(geometry, policy)
         c = config([(0, 0)], rows=2, cols=4)
-        alloc.allocate(c)
+        alloc.allocate_batch([c])
         assert policy.describe() == "static_remap(1 frozen pivots)"
         policy.bind(geometry)
         assert policy.describe() == "static_remap(0 frozen pivots)"

@@ -28,7 +28,8 @@ class TestMovementRendering:
         allocator = ConfigurationAllocator(
             geometry, make_policy("baseline")
         )
-        placement = allocator.allocate(config([(0, 0), (1, 1)], 2, 4))
+        batch = allocator.allocate_batch([config([(0, 0), (1, 1)], 2, 4)])
+        placement = batch.placement(0)
         frame = render_placement(geometry, placement, launch_index=0)
         assert "launch 0" in frame
         assert "P" in frame       # pivot marker

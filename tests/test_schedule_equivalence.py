@@ -2,7 +2,7 @@
 
 The two-phase simulation (one policy-independent
 :class:`~repro.system.schedule.LaunchSchedule` walk + vectorized
-policy replay) must be *bit-identical* to the legacy interleaved walk:
+policy replay) must be *bit-identical* to the coupled interleaved walk:
 same cycles, same fabric/cache counters, same tracker matrices, same
 energy floats — for every allocation policy, on every workload of the
 verified suite. Stress-coupled pipelines (annealing with live stress
@@ -21,7 +21,7 @@ from repro.aging.sensor import SensorArray
 from repro.campaign import CampaignRunner, CampaignSpec, MapperSpec, PolicySpec
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import ConfigurationAllocator
-from repro.core.policy import AllocationPolicy, make_policy
+from repro.core.policy import make_policy
 from repro.errors import AllocationError, ConfigurationError
 from repro.system import (
     SystemParams,
@@ -36,6 +36,8 @@ from repro.system import (
 )
 from repro.system.schedule import gpp_reference, params_stress_coupled
 from repro.workloads.suite import run_workload, workload_names
+
+from tests.support import ReferenceAllocator
 
 ROWS, COLS = 4, 16
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
@@ -176,7 +178,8 @@ def _synthetic_schedule(base, configs, exec_cycles):
 
 
 class TestSyntheticScheduleReplay:
-    """Per-policy replay ≡ scalar loop on hand-built launch streams:
+    """Per-policy replay ≡ the per-launch reference allocator on
+    hand-built launch streams:
     heavy interleavings, run-of-1 schedules and mid-batch errors —
     shapes the recorded suite schedules only partially exercise."""
 
@@ -192,7 +195,7 @@ class TestSyntheticScheduleReplay:
         ),
         policy_index=st.integers(min_value=0, max_value=len(POLICIES) - 1),
     )
-    def test_replay_matches_scalar_on_synthetic_streams(
+    def test_replay_matches_reference_on_synthetic_streams(
         self, base_schedule, order, policy_index
     ):
         units = _distinct_units(base_schedule)
@@ -203,20 +206,20 @@ class TestSyntheticScheduleReplay:
         replayed = replay_schedule(
             schedule, GEOMETRY, make_policy(policy_name, **make_kwargs())
         )
-        scalar = ConfigurationAllocator(
-            GEOMETRY, make_policy(policy_name, **make_kwargs())
+        reference = ReferenceAllocator(
+            GEOMETRY, policy_name, **make_kwargs()
         )
         for config, cyc in zip(configs, cycles):
-            scalar.allocate(config, cycles=cyc)
+            reference.allocate(config, cycles=cyc)
         np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
+            reference.tracker.execution_counts,
             replayed.tracker.execution_counts,
         )
         np.testing.assert_array_equal(
-            scalar.tracker.cycle_counts, replayed.tracker.cycle_counts
+            reference.tracker.cycle_counts, replayed.tracker.cycle_counts
         )
         assert (
-            scalar.tracker.config_footprints
+            reference.tracker.config_footprints
             == replayed.tracker.config_footprints
         )
 
@@ -242,13 +245,13 @@ class TestSyntheticScheduleReplay:
         replayed = replay_schedule(
             schedule, GEOMETRY, make_policy(policy_name, **make_kwargs())
         )
-        scalar = ConfigurationAllocator(
-            GEOMETRY, make_policy(policy_name, **make_kwargs())
+        reference = ReferenceAllocator(
+            GEOMETRY, policy_name, **make_kwargs()
         )
         for config, cyc in zip(configs, cycles):
-            scalar.allocate(config, cycles=cyc)
+            reference.allocate(config, cycles=cyc)
         np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
+            reference.tracker.execution_counts,
             replayed.tracker.execution_counts,
         )
 
@@ -268,7 +271,7 @@ class TestSyntheticScheduleReplay:
         self, base_schedule, policy_name, make_kwargs
     ):
         """A schedule carrying a unit that cannot fit the replay fabric
-        fails identically to the scalar loop, with the accepted prefix
+        fails identically to the reference, with the accepted prefix
         recorded."""
         units = _distinct_units(base_schedule, limit=2)
         oversized = dataclasses.replace(
@@ -279,61 +282,25 @@ class TestSyntheticScheduleReplay:
         cycles = list(range(1, len(configs) + 1))
         schedule = _synthetic_schedule(base_schedule, configs, cycles)
         policy = make_policy(policy_name, **make_kwargs())
+        allocator = ConfigurationAllocator(GEOMETRY, policy)
         with pytest.raises(AllocationError):
-            replay_schedule(schedule, GEOMETRY, policy)
-        scalar = ConfigurationAllocator(
-            GEOMETRY, make_policy(policy_name, **make_kwargs())
-        )
+            allocator.allocate_batch(configs, cycles=cycles)
+        reference = ReferenceAllocator(GEOMETRY, policy_name, **make_kwargs())
         with pytest.raises(AllocationError):
             for config, cyc in zip(configs, cycles):
-                scalar.allocate(config, cycles=cyc)
-        assert scalar.launches == 7
-
-
-class LegacyProbePolicy(AllocationPolicy):
-    """next_pivot-only policy used to pin the adapter at system level."""
-
-    name = "legacy_probe"
-
-    def __init__(self):
-        self._step = 0
-
-    def bind(self, geometry):
-        super().bind(geometry)
-        self._step = 0
-
-    def next_pivot(self, config, tracker):
-        pivot = (
-            self._step % self.geometry.rows,
-            (self._step // 2) % self.geometry.cols,
-        )
-        self._step += 1
-        return pivot
-
-
-class TestLegacyPolicyReplay:
-    def test_legacy_policy_replay_matches_coupled_walk(self):
-        trace = run_workload("bitcount")
-        params = SystemParams(geometry=GEOMETRY)
-        coupled_allocator = ConfigurationAllocator(
-            GEOMETRY, LegacyProbePolicy()
-        )
-        compute_schedule(params, trace, allocator=coupled_allocator)
-        schedule = shared_schedule(params, trace)
-        with pytest.warns(DeprecationWarning, match="plan_segments"):
-            replayed = replay_schedule(schedule, GEOMETRY, LegacyProbePolicy())
+                reference.allocate(config, cycles=cyc)
+        assert reference.launches == allocator.launches == 7
         np.testing.assert_array_equal(
-            coupled_allocator.tracker.execution_counts,
-            replayed.tracker.execution_counts,
+            reference.tracker.execution_counts,
+            allocator.tracker.execution_counts,
         )
         np.testing.assert_array_equal(
-            coupled_allocator.tracker.cycle_counts,
-            replayed.tracker.cycle_counts,
+            reference.tracker.cycle_counts, allocator.tracker.cycle_counts
         )
-        assert (
-            coupled_allocator.tracker.config_footprints
-            == replayed.tracker.config_footprints
-        )
+        with pytest.raises(AllocationError):
+            replay_schedule(
+                schedule, GEOMETRY, make_policy(policy_name, **make_kwargs())
+            )
 
 
 class TestDiskScheduleCache:

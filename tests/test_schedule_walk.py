@@ -33,7 +33,7 @@ from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace
 from repro.system import SystemParams, compute_schedule
 from repro.system.scenarios import SCENARIOS
 from repro.workloads.suite import run_workload, workload_names
-from support import reference_compute_schedule
+from support import ReferenceAllocator, reference_compute_schedule
 
 #: The Table I fabrics BE/BP/BU.
 FABRICS = {name: SCENARIOS[name].geometry for name in ("BE", "BP", "BU")}
@@ -230,8 +230,10 @@ def test_cut_streams_match_reference(workload, cut, frontend):
 
 @pytest.mark.parametrize("workload", SUBSET)
 def test_coupled_walk_matches_reference(workload):
-    """Annealing with live stress feedback: the walk feeds a scalar
-    allocator per launch and the mapper reads its stress map."""
+    """Annealing with live stress feedback: the walk queues launches
+    on the allocator and the mapper's stress reads place them in
+    batches; the reference walk places each launch at once through
+    the per-launch reference allocator, sharing no allocation code."""
     trace = run_workload(workload)
     params = SystemParams(
         geometry=FABRICS["BE"],
@@ -240,14 +242,13 @@ def test_coupled_walk_matches_reference(workload):
         mapper_kwargs={"seed": 5},
     )
 
-    def allocator():
-        return ConfigurationAllocator(
-            params.geometry, make_policy("stress_aware", interval=8)
-        )
-
-    walked_allocator = allocator()
+    walked_allocator = ConfigurationAllocator(
+        params.geometry, make_policy("stress_aware", interval=8)
+    )
     walked = compute_schedule(params, trace, allocator=walked_allocator)
-    reference_allocator = allocator()
+    reference_allocator = ReferenceAllocator(
+        params.geometry, "stress_aware", interval=8
+    )
     reference = reference_compute_schedule(
         params, trace, allocator=reference_allocator
     )
@@ -257,4 +258,9 @@ def test_coupled_walk_matches_reference(workload):
         walked_allocator.tracker.cycle_counts,
         reference_allocator.tracker.cycle_counts,
     )
+    assert (
+        walked_allocator.tracker.config_footprints
+        == reference_allocator.tracker.config_footprints
+    )
+    assert walked_allocator.launches == reference_allocator.launches
     assert_conserved(walked, trace)
