@@ -7,8 +7,8 @@ Usage::
 Runs a small campaign and a small fleet twice — once fault-free, once
 under an injected :class:`~repro.resilience.FaultPlan` combining a
 worker crash, a worker hang (bounded by the per-task timeout), a
-transient task error, store-append I/O failures and checkpoint
-corruption — and checks the resilience layer's core contract:
+transient task error and store-append I/O failures — and checks the
+resilience layer's core contract:
 
 1. **Bit-identity** — every successful result of the faulty run equals
    the fault-free reference exactly (tasks are deterministic in their
@@ -16,10 +16,13 @@ corruption — and checks the resilience layer's core contract:
 2. **No quarantine** — every injected failure here is transient
    (``max_attempt=1``: first try fails, retries succeed), so the
    faulty runs must complete with zero quarantined tasks.
-3. **Accounting** — the parent-side telemetry counters record the
-   recoveries (retries/pool rebuilds for the crash, append errors for
-   the store faults); a run that "passed" without the faults actually
-   firing is a broken injection, not a passing check.
+3. **Accounting** — every injected fault fired
+   (:func:`~repro.resilience.faults.fired_counts`: the executor decides
+   pool-task faults in the parent, so worker-side fires count there),
+   and the parent-side telemetry counters record the recoveries
+   (retries/pool rebuilds for the crash, append errors for the store
+   faults); a run that "passed" without the faults actually firing is
+   a broken injection, not a passing check.
 
 Exit 0 on success, 1 with a diagnostic on any violation.
 """
@@ -47,23 +50,34 @@ def _dump(payload) -> str:
 
 
 def _campaign_spec() -> CampaignSpec:
+    # One policy over distinct geometries: every design point is its
+    # own schedule group, so each fault below targets a distinct task
+    # key deterministically.
     return CampaignSpec(
         name="chaos_smoke",
-        geometries=((2, 8), (2, 16)),
-        policies=(PolicySpec.make("baseline"), PolicySpec.make("rotation")),
+        geometries=((2, 8), (2, 16), (4, 8), (4, 16)),
+        policies=(PolicySpec.make("rotation"),),
         workloads=("bitcount", "crc32"),
     )
 
 
+def _check_fired(leg: str, plan: FaultPlan, fired: dict[str, int]) -> None:
+    missing = sorted({spec.site for spec in plan.specs} - set(fired))
+    if missing:
+        raise AssertionError(
+            f"{leg}: injected fault(s) {missing} never fired (fired={fired})"
+        )
+
+
 def _campaign_chaos(workers: int) -> None:
     spec = _campaign_spec()
+    groups = CampaignRunner().schedule_groups(spec.design_points())
+    if len(groups) < 3 or any(len(group) != 1 for group in groups):
+        raise AssertionError(
+            f"campaign: need >= 3 singleton schedule groups, got {groups}"
+        )
     faults.deactivate()
-    # share_schedules=False gives one singleton group per design point
-    # (bit-identical results, pinned by the campaign suite), so every
-    # fault below targets a distinct task key deterministically.
-    reference = CampaignRunner(
-        max_workers=workers, share_schedules=False
-    ).run(spec)
+    reference = CampaignRunner(max_workers=workers).run(spec)
     reference_payload = _dump(reference.summaries())
 
     plan = FaultPlan(
@@ -84,12 +98,12 @@ def _campaign_chaos(workers: int) -> None:
         obs.reset()
         chaotic = CampaignRunner(
             max_workers=workers,
-            share_schedules=False,
             retry=RETRY,
             task_timeout=3.0,
         ).run(spec)
         counters = dict(obs.state.counters)
         obs.reset()
+    fired = faults.fired_counts()
     faults.deactivate()
 
     if chaotic.failures:
@@ -99,13 +113,14 @@ def _campaign_chaos(workers: int) -> None:
         )
     if _dump(chaotic.summaries()) != reference_payload:
         raise AssertionError("campaign: faulty run diverged from reference")
+    _check_fired("campaign", plan, fired)
     recoveries = counters.get("resilience.retries", 0)
     if recoveries == 0:
         raise AssertionError(
             f"campaign: no injected fault was recovered (counters={counters})"
         )
     print(
-        "campaign chaos: crash+hang+error recovered "
+        f"campaign chaos: crash+hang+error fired {fired} and recovered "
         f"(retries={recoveries}, "
         f"pool_rebuilds={counters.get('resilience.pool_rebuilds', 0)}, "
         f"timeouts={counters.get('resilience.timeouts', 0)}), "
@@ -147,9 +162,6 @@ def _fleet_chaos(devices: int, workers: int) -> None:
             # Two store appends fail (full disk): records stay
             # in-memory, aggregates must not change.
             FaultSpec("store.append", times=2, max_attempt=None),
-            # Every checkpoint write is garbled on disk; the loader
-            # must recompute instead of trusting it.
-            FaultSpec("checkpoint.corrupt", times=None, max_attempt=None),
         )
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,13 +170,12 @@ def _fleet_chaos(devices: int, workers: int) -> None:
             obs.reset()
             chaotic = FleetRunner(
                 store_dir=Path(tmp) / "store",
-                checkpoint_dir=Path(tmp) / "ckpt",
                 max_workers=workers,
                 retry=RETRY,
             ).run(spec)
             counters = dict(obs.state.counters)
             obs.reset()
-        parent_fires = faults.fired_counts()
+        fired = faults.fired_counts()
         faults.deactivate()
 
         if chaotic.failures:
@@ -182,8 +193,7 @@ def _fleet_chaos(devices: int, workers: int) -> None:
             raise AssertionError(
                 f"fleet: append-error counter missing (counters={counters})"
             )
-        if parent_fires.get("checkpoint.corrupt", 0) == 0:
-            raise AssertionError("fleet: checkpoint corruption never fired")
+        _check_fired("fleet", plan, fired)
         if counters.get("resilience.retries", 0) == 0:
             raise AssertionError(
                 f"fleet: crashed chunk was never retried (counters={counters})"
@@ -199,7 +209,7 @@ def _fleet_chaos(devices: int, workers: int) -> None:
         if _fleet_payload(resumed) != reference_payload:
             raise AssertionError("fleet: resume from degraded store diverged")
     print(
-        "fleet chaos: crash+append-failure+checkpoint-corruption recovered, "
+        f"fleet chaos: crash+append-failure fired {fired} and recovered, "
         f"aggregates bit-identical (re-ran {resumed.shards_run}, "
         f"resumed {resumed.shards_resumed} on follow-up)"
     )

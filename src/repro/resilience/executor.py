@@ -25,6 +25,11 @@ through one worker function and keeps going where a bare
   arms :func:`repro.resilience.faults.set_inline`, so an injected
   "crash" raises instead of killing the parent.
 
+Injected faults are decided in this process before each attempt runs
+(:func:`_arm`) and only performed by the worker, so
+:func:`repro.resilience.faults.fired_counts` here counts every fire of
+the run.
+
 Because task functions are deterministic in their payloads, results
 are **bit-identical** no matter how many retries, requeues or
 degradations occurred — the property the campaign/fleet runners'
@@ -112,17 +117,36 @@ class _Task:
         self.not_before = 0.0
 
 
+#: Injection sites walked before every task attempt, in order.
+_TASK_SITES = ("worker.crash", "worker.hang", "task.error")
+
+
+def _arm(task: _Task) -> tuple[faults.FaultSpec, ...]:
+    """The fault specs that fire for ``task``'s next attempt. A crash
+    or an error ends the attempt, so the sites after it are not
+    consulted."""
+    armed = []
+    faults.set_context(task.key, task.attempts)
+    try:
+        for site in _TASK_SITES:
+            spec = faults.should_fire(site)
+            if spec is not None:
+                armed.append(spec)
+                if site != "worker.hang":
+                    break
+    finally:
+        faults.set_context(None)
+    return tuple(armed)
+
+
 def _run_task(bundle):
-    """Worker-side trampoline: arm the shipped fault plan, publish the
-    task context, walk the injection sites, run the task."""
-    fn, payload, key, attempt, plan_payload = bundle
-    if plan_payload is not None:
-        faults.activate(faults.FaultPlan.from_jsonable(plan_payload))
+    """Worker-side trampoline: publish the task context, perform the
+    faults armed for this attempt, run the task."""
+    fn, payload, key, attempt, armed = bundle
     faults.set_context(key, attempt)
     try:
-        faults.maybe_fire("worker.crash")
-        faults.maybe_fire("worker.hang")
-        faults.maybe_fire("task.error")
+        for spec in armed:
+            faults.perform(spec)
         return fn(payload)
     finally:
         faults.set_context(None)
@@ -190,8 +214,6 @@ class ResilientExecutor:
         if self.max_workers <= 1:
             self._drain_inline(queue, report, on_result)
             return report
-        plan = faults.active_plan()
-        plan_payload = plan.to_jsonable() if plan is not None else None
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
         inflight: dict = {}  # future -> (task, deadline)
         try:
@@ -212,7 +234,7 @@ class ResilientExecutor:
                     future = pool.submit(
                         _run_task,
                         (self.fn, task.payload, task.key, task.attempts,
-                         plan_payload),
+                         _arm(task)),
                     )
                     deadline = (
                         now + self.task_timeout
@@ -393,11 +415,11 @@ class ResilientExecutor:
         try:
             while queue:
                 task = queue.popleft()
+                armed = _arm(task)
                 faults.set_context(task.key, task.attempts)
                 try:
-                    faults.maybe_fire("worker.crash")
-                    faults.maybe_fire("worker.hang")
-                    faults.maybe_fire("task.error")
+                    for spec in armed:
+                        faults.perform(spec)
                     result = self.fn(task.payload)
                 except Exception as error:
                     before = len(report.failures)

@@ -20,10 +20,6 @@ site                      effect when fired
 ``store.append``          raises ``OSError`` inside
                           :meth:`~repro.fleet.store.ResultStore.append`
                           (a full disk / dead mount).
-``checkpoint.corrupt``    the checkpoint payload is truncated and
-                          garbled before hitting disk
-                          (:func:`corrupt_bytes`).
-``schedule_cache.corrupt``  same, for the on-disk schedule cache.
 ========================  =============================================
 
 Firing is **deterministic**: a spec fires on the first ``times``
@@ -33,13 +29,16 @@ the executor publishes the current task key and attempt through
 :func:`set_context`, so "crash on the first try, succeed on retry" is
 expressible), and sub-sampled by a *seeded* ``rate`` draw that hashes
 ``(seed, site, key, attempt, call)`` — the same plan fires the same
-calls in every run and in every worker process.
+calls in every run.
 
-Activation: :func:`activate` (the executor also ships the active plan
-to pool workers inside task payloads) or the ``REPRO_FAULTS``
-environment variable holding the plan as JSON. With no plan active
-every site is a single ``is None`` check — the fault-free hot path
-stays free.
+Activation: :func:`activate` or the ``REPRO_FAULTS`` environment
+variable holding the plan as JSON. The executor decides its task
+sites in the parent when it submits a task (:func:`should_fire`) and
+ships only the decided specs to the pool worker, which carries them
+out (:func:`perform`); every fire of a run therefore lands in the
+parent's :func:`fired_counts`, including crashes that kill their
+worker. With no plan active every site is a single ``is None`` check
+— the fault-free hot path stays free.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import ConfigurationError, InjectedFaultError, WorkerCrashError
@@ -59,24 +58,20 @@ __all__ = [
     "FaultSpec",
     "activate",
     "active_plan",
-    "corrupt_bytes",
     "deactivate",
     "fired_counts",
     "maybe_fire",
+    "perform",
     "set_context",
     "set_inline",
+    "should_fire",
 ]
 
 #: Environment variable holding a JSON-encoded fault plan.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Sites whose action is performed by :func:`maybe_fire`.
-ACTION_SITES = ("worker.crash", "worker.hang", "task.error", "store.append")
-
-#: Sites consulted through :func:`corrupt_bytes`.
-CORRUPT_SITES = ("checkpoint.corrupt", "schedule_cache.corrupt")
-
-KNOWN_SITES = ACTION_SITES + CORRUPT_SITES
+#: Injection sites; :func:`perform` carries out each one's action.
+KNOWN_SITES = ("worker.crash", "worker.hang", "task.error", "store.append")
 
 
 def _stable_unit(seed: int, site: str, key: str, attempt: int, call: int) -> float:
@@ -146,9 +141,8 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An immutable set of :class:`FaultSpec`\\ s (picklable and
-    JSON-round-trippable so it can ride in pool-task payloads and the
-    ``REPRO_FAULTS`` environment variable)."""
+    """An immutable set of :class:`FaultSpec`\\ s (JSON-round-trippable
+    so it can ride in the ``REPRO_FAULTS`` environment variable)."""
 
     specs: tuple[FaultSpec, ...] = ()
 
@@ -219,8 +213,7 @@ def deactivate() -> None:
 
 
 def active_plan() -> FaultPlan | None:
-    """The active plan; reads ``REPRO_FAULTS`` lazily on first call so
-    spawned pool workers inherit an environment-armed plan."""
+    """The active plan; reads ``REPRO_FAULTS`` lazily on first call."""
     global _env_checked
     if _runtime.plan is None and not _env_checked:
         _env_checked = True
@@ -249,7 +242,12 @@ def fired_counts() -> dict[str, int]:
     return dict(_runtime.fires)
 
 
-def _should_fire(site: str) -> FaultSpec | None:
+def should_fire(site: str) -> FaultSpec | None:
+    """The spec under which this invocation of ``site`` fires, or
+    ``None``. A fire is counted here (:func:`fired_counts`), whichever
+    process later performs it."""
+    if _runtime.plan is None and _env_checked:
+        return None
     plan = active_plan()
     if plan is None:
         return None
@@ -276,14 +274,9 @@ def _should_fire(site: str) -> FaultSpec | None:
     return None
 
 
-def maybe_fire(site: str) -> None:
-    """Perform ``site``'s failure action if the active plan says this
-    invocation fires; no-op (one ``is None`` check) otherwise."""
-    if _runtime.plan is None and _env_checked:
-        return
-    spec = _should_fire(site)
-    if spec is None:
-        return
+def perform(spec: FaultSpec) -> None:
+    """Carry out the failure action of a fired ``spec``."""
+    site = spec.site
     if site == "worker.crash":
         if _runtime.inline:
             raise WorkerCrashError(
@@ -300,15 +293,12 @@ def maybe_fire(site: str) -> None:
         )
     if site == "store.append":
         raise OSError(f"injected store append failure (key={_runtime.key!r})")
-    raise ConfigurationError(f"site {site!r} has no inline action")
+    raise ConfigurationError(f"site {site!r} has no action")
 
 
-def corrupt_bytes(site: str, data: bytes) -> bytes:
-    """Return ``data``, truncated and garbled when ``site`` fires —
-    the write path persists the result as-is, so the matching loader's
-    corrupt-tolerance is exercised end to end."""
-    if _runtime.plan is None and _env_checked:
-        return data
-    if _should_fire(site) is None:
-        return data
-    return data[: max(1, len(data) // 2)] + b"\x00INJECTED-CORRUPTION"
+def maybe_fire(site: str) -> None:
+    """Perform ``site``'s failure action if the active plan says this
+    invocation fires; no-op (one ``is None`` check) otherwise."""
+    spec = should_fire(site)
+    if spec is not None:
+        perform(spec)

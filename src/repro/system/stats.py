@@ -9,6 +9,19 @@ from repro.dbt.config_cache import ConfigCacheStats
 from repro.gpp.timing import GPPTimingResult
 from repro.hw.energy import EnergyReport
 
+#: :class:`CGRAStats` counters kept as plain attributes, not fields.
+NONFIELD_COUNTERS = (
+    "config_cache_hits",
+    "config_cache_misses",
+    "config_cache_evictions",
+    "wrong_path_launches",
+    "wrong_path_instructions",
+    "frontend_mispredicts",
+    "frontend_flushes",
+    "frontend_interrupts",
+    "frontend_flush_cycles",
+)
+
 
 @dataclass
 class CGRAStats:
@@ -35,16 +48,8 @@ class CGRAStats:
     peak_line_pressure: int = 0
 
     def __post_init__(self) -> None:
-        self.config_cache_hits = 0
-        self.config_cache_misses = 0
-        self.config_cache_evictions = 0
-        # Speculative front-end counters (repro.frontend).
-        self.wrong_path_launches = 0
-        self.wrong_path_instructions = 0
-        self.frontend_mispredicts = 0
-        self.frontend_flushes = 0
-        self.frontend_interrupts = 0
-        self.frontend_flush_cycles = 0
+        for counter in NONFIELD_COUNTERS:
+            setattr(self, counter, 0)
 
     @property
     def commit_efficiency(self) -> float:

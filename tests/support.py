@@ -11,7 +11,9 @@ from repro import obs
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.datapath import configuration_cycles, execution_cycles
 from repro.cgra.reconfig import ReconfigLogicSpec
+from repro.core.allocator import ConfigurationAllocator
 from repro.core.patterns import movement_pattern
+from repro.core.policy import make_policy
 from repro.core.utilization import UtilizationTracker
 from repro.dbt.config_cache import ConfigCache
 from repro.dbt.translator import DBTEngine
@@ -24,8 +26,9 @@ from repro.isa.instructions import OPCODES, InstrClass
 from repro.sim.cpu import CPU
 from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace, TraceRecord
 from repro.system.params import SystemParams
-from repro.system.schedule import LaunchSchedule, _make_walk_mapper
-from repro.system.stats import CGRAStats
+from repro.system.schedule import LaunchSchedule, _make_walk_mapper, compute_schedule
+from repro.system.stats import CGRAStats, SystemResult
+from repro.system.transrec import TransRecSystem
 
 
 def run_asm(source: str, max_steps: int = 500_000):
@@ -36,6 +39,19 @@ def run_asm(source: str, max_steps: int = 500_000):
 def trace_of(source: str, max_steps: int = 500_000) -> Trace:
     """Committed trace of an assembly snippet."""
     return run_asm(source, max_steps=max_steps).trace
+
+
+def coupled_run(params: SystemParams, trace: Trace) -> SystemResult:
+    """Time ``trace`` through the coupled walk: a fresh allocator under
+    ``params``' policy rides :func:`compute_schedule`, so each launch
+    is placed as the walk records it. ``TransRecSystem.run_trace``
+    replays a shared schedule instead for every decoupled mapper; this
+    is the oracle that replay is checked against."""
+    allocator = ConfigurationAllocator(
+        params.geometry, make_policy(params.policy, **params.policy_kwargs)
+    )
+    schedule = compute_schedule(params, trace, allocator=allocator)
+    return TransRecSystem(params)._assemble(schedule, allocator, trace)
 
 
 _NEXT_PC = 0x1000

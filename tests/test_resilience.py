@@ -4,6 +4,7 @@ resilient executor's recovery + bit-identity guarantees."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience import faults
+from repro.resilience.executor import _arm, _Task
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +150,18 @@ def test_fault_plan_rejects_unknown_site():
         FaultSpec("no.such.site")
 
 
+@pytest.mark.parametrize(
+    "site", ["checkpoint.corrupt", "schedule_cache.corrupt"]
+)
+def test_fault_plan_rejects_removed_corruption_sites(site):
+    """No stored artifact is pickled, so there is no corruption site:
+    a plan naming one fails whether built in code or read from env."""
+    with pytest.raises(ConfigurationError, match="unknown fault site"):
+        FaultPlan.single(site)
+    with pytest.raises(ConfigurationError, match="unknown fault site"):
+        FaultPlan.from_env(json.dumps([{"site": site}]))
+
+
 def test_fault_env_rejects_bad_json():
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         FaultPlan.from_env("{nope")
@@ -155,7 +169,7 @@ def test_fault_env_rejects_bad_json():
 
 def test_no_plan_is_a_noop():
     faults.maybe_fire("task.error")  # must not raise
-    assert faults.corrupt_bytes("checkpoint.corrupt", b"data") == b"data"
+    assert faults.fired_counts() == {}
 
 
 def test_task_error_fires_match_and_budget():
@@ -188,15 +202,6 @@ def test_inline_crash_raises_instead_of_exiting():
         faults.set_inline(False)
 
 
-def test_corrupt_bytes_damages_payload():
-    faults.activate(FaultPlan.single("checkpoint.corrupt"))
-    data = b"x" * 100
-    corrupted = faults.corrupt_bytes("checkpoint.corrupt", data)
-    assert corrupted != data
-    # budget exhausted: subsequent writes are clean
-    assert faults.corrupt_bytes("checkpoint.corrupt", data) == data
-
-
 def _rate_fire_pattern():
     faults.activate(
         FaultPlan.single(
@@ -218,6 +223,102 @@ def test_seeded_rate_draw_is_deterministic():
     first = _rate_fire_pattern()
     assert _rate_fire_pattern() == first
     assert any(first) and not all(first)
+
+
+def test_should_fire_decides_and_counts_without_performing():
+    faults.activate(FaultPlan.single("task.error", times=1))
+    faults.set_context("t", 0)
+    spec = faults.should_fire("task.error")  # must not raise
+    assert spec is not None and spec.site == "task.error"
+    assert faults.fired_counts() == {"task.error": 1}
+    assert faults.should_fire("task.error") is None  # budget spent
+    assert faults.fired_counts() == {"task.error": 1}
+
+
+def test_should_fire_ignores_sites_outside_the_plan():
+    faults.activate(FaultPlan.single("task.error", times=None))
+    assert faults.should_fire("store.append") is None
+    assert faults.fired_counts() == {}
+
+
+@pytest.mark.parametrize(
+    "site, error",
+    [
+        ("worker.crash", WorkerCrashError),
+        ("task.error", InjectedFaultError),
+        ("store.append", OSError),
+    ],
+)
+def test_perform_raises_each_sites_failure_and_counts_nothing(site, error):
+    faults.set_inline(True)  # an inline crash raises instead of exiting
+    try:
+        with pytest.raises(error):
+            faults.perform(FaultSpec(site))
+    finally:
+        faults.set_inline(False)
+    assert faults.fired_counts() == {}
+
+
+def test_perform_hang_sleeps_for_the_spec_seconds():
+    start = time.perf_counter()
+    faults.perform(FaultSpec("worker.hang", seconds=0.05))
+    assert time.perf_counter() - start >= 0.05
+    assert faults.fired_counts() == {}
+
+
+def test_maybe_fire_is_should_fire_then_perform():
+    """The split decide/perform path fires exactly the calls the
+    one-step ``maybe_fire`` fires under the same seeded plan."""
+    expected = _rate_fire_pattern()
+    faults.deactivate()
+    faults.activate(
+        FaultPlan.single(
+            "task.error", rate=0.5, seed=42, times=None, max_attempt=None
+        )
+    )
+    split = []
+    for call in range(20):
+        faults.set_context(f"k{call}", 0)
+        split.append(faults.should_fire("task.error") is not None)
+    assert split == expected
+
+
+# -- task arming -----------------------------------------------------------
+
+
+def _task(key, attempts=0):
+    task = _Task(0, key, None)
+    task.attempts = attempts
+    return task
+
+
+def test_arm_walks_past_a_hang_in_site_order():
+    """A hang does not end the attempt, so the sites after it are
+    still consulted; the armed specs come back in site order."""
+    faults.activate(
+        FaultPlan(
+            specs=(
+                FaultSpec("task.error", match="t"),
+                FaultSpec("worker.hang", match="t", seconds=0.0),
+            )
+        )
+    )
+    armed = _arm(_task("t"))
+    assert [spec.site for spec in armed] == ["worker.hang", "task.error"]
+    assert faults.fired_counts() == {"worker.hang": 1, "task.error": 1}
+
+
+def test_arm_uses_the_task_context_and_restores_it():
+    faults.activate(
+        FaultPlan.single("task.error", match="task-3", times=None)
+    )
+    assert _arm(_task("task-2")) == ()
+    assert _arm(_task("task-3", attempts=1)) == ()  # max_attempt gate
+    (spec,) = _arm(_task("task-3"))
+    assert spec.site == "task.error"
+    # the parent's context is cleared again, so a later site call
+    # outside any task does not match the task key
+    assert faults.should_fire("task.error") is None
 
 
 # -- executor --------------------------------------------------------------
@@ -295,6 +396,56 @@ def test_executor_survives_worker_crash():
     assert report.ok and not report.degraded_serial
 
 
+def test_executor_counts_worker_fires_in_the_parent():
+    """Pool-task faults are decided in the parent, so its ledger holds
+    even a crash that killed the worker."""
+    faults.activate(
+        FaultPlan(
+            specs=(
+                FaultSpec("worker.crash", match="task-0"),
+                FaultSpec("task.error", match="task-2"),
+            )
+        )
+    )
+    report = ResilientExecutor(_square, 2, retry=_fast_retry()).run(
+        list(range(4))
+    )
+    assert report.ok and report.results == [0, 1, 4, 9]
+    assert faults.fired_counts() == {"worker.crash": 1, "task.error": 1}
+
+
+def test_executor_arms_no_site_after_a_terminal_one():
+    """A crash ends the attempt: a task error armed for the same
+    attempt is neither performed nor counted."""
+    faults.activate(
+        FaultPlan(
+            specs=(
+                FaultSpec("worker.crash", match="task-1"),
+                FaultSpec("task.error", match="task-1"),
+            )
+        )
+    )
+    report = ResilientExecutor(_square, 1, retry=_fast_retry()).run(
+        list(range(3))
+    )
+    assert report.ok and report.retries == 1
+    assert faults.fired_counts() == {"worker.crash": 1}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_executor_fault_budget_spans_the_run(workers):
+    """A ``times=1`` spec matching every task fires once per run, not
+    once per pool task: the budget is kept where the faults are
+    decided, in the parent."""
+    faults.activate(FaultPlan.single("task.error", times=1))
+    report = ResilientExecutor(_square, workers, retry=_fast_retry()).run(
+        list(range(6))
+    )
+    assert report.ok and report.results == [x * x for x in range(6)]
+    assert report.retries == 1
+    assert faults.fired_counts() == {"task.error": 1}
+
+
 def test_executor_times_out_hung_worker():
     faults.activate(
         FaultPlan.single("worker.hang", match="task-1", seconds=3.0)
@@ -360,7 +511,14 @@ def test_campaign_bit_identical_under_injected_faults():
 
 
 def test_campaign_surfaces_quarantined_groups(tmp_path):
-    spec = _campaign_spec()
+    # Distinct geometries: one schedule group per point, so only the
+    # point of group 0 dies.
+    spec = CampaignSpec(
+        name="quarantine",
+        geometries=((2, 8), (4, 8)),
+        policies=(PolicySpec.make("baseline"),),
+        workloads=("crc32",),
+    )
     faults.activate(
         FaultPlan.single(
             "task.error", match="group:0", times=None, max_attempt=None
@@ -370,7 +528,6 @@ def test_campaign_surfaces_quarantined_groups(tmp_path):
         max_workers=2,
         retry=_fast_retry(),
         artifact_dir=tmp_path,
-        share_schedules=False,  # one group per point: only group 0 dies
     ).run(spec)
     assert result.failures, "expected a quarantined group"
     assert len(result.runs) == len(spec.design_points()) - 1
@@ -482,26 +639,6 @@ def test_fleet_summary_reports_skip_breakdown(tmp_path):
         "total": 3,
     }
     assert summary["failures"] == []
-
-
-def test_fleet_checkpoint_corruption_recomputes_bit_identically(tmp_path):
-    spec = _fleet_spec()
-    reference = FleetRunner().run(spec)
-    faults.activate(
-        FaultPlan.single("checkpoint.corrupt", times=None, max_attempt=None)
-    )
-    result = FleetRunner(checkpoint_dir=tmp_path / "ckpt").run(spec)
-    assert _fleet_payload(result) == _fleet_payload(reference)
-    faults.deactivate()
-    # every checkpoint was corrupted on disk: a re-run must recompute
-    # (load -> None) and still agree
-    with obs.telemetry():
-        obs.reset()
-        rerun = FleetRunner(checkpoint_dir=tmp_path / "ckpt").run(spec)
-        counters = dict(obs.state.counters)
-        obs.reset()
-    assert counters.get("fleet.checkpoint.corrupt", 0) > 0
-    assert _fleet_payload(rerun) == _fleet_payload(reference)
 
 
 def test_fleet_parallel_equals_serial_under_crash():

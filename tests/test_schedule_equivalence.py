@@ -1,8 +1,10 @@
 """Schedule-replay vs coupled-walk equivalence.
 
-The two-phase simulation (one policy-independent
+The two-phase simulation that ``TransRecSystem.run_trace`` uses for
+decoupled mappers (one policy-independent
 :class:`~repro.system.schedule.LaunchSchedule` walk + vectorized
-policy replay) must be *bit-identical* to the coupled interleaved walk:
+policy replay) must be *bit-identical* to the coupled interleaved walk
+(:func:`tests.support.coupled_run`):
 same cycles, same fabric/cache counters, same tracker matrices, same
 energy floats — for every allocation policy, on every workload of the
 verified suite. Stress-coupled pipelines (annealing with live stress
@@ -17,27 +19,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.aging.sensor import SensorArray
 from repro.campaign import CampaignRunner, CampaignSpec, MapperSpec, PolicySpec
+from repro.campaign.runner import _build_params
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
 from repro.errors import AllocationError, ConfigurationError
+from repro.frontend import FrontEndSpec
 from repro.system import (
     SystemParams,
     TransRecSystem,
     clear_schedule_caches,
     compute_schedule,
     replay_schedule,
-    schedule_cache_dir,
     schedule_key,
-    set_schedule_cache_dir,
     shared_schedule,
 )
 from repro.system.schedule import gpp_reference, params_stress_coupled
+from repro.system.stats import NONFIELD_COUNTERS
 from repro.workloads.suite import run_workload, workload_names
 
-from tests.support import ReferenceAllocator
+from tests.support import ReferenceAllocator, coupled_run
 
 ROWS, COLS = 4, 16
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
@@ -122,25 +126,10 @@ class TestReplayEquivalence:
         self, workload, policy_name, make_kwargs
     ):
         trace = run_workload(workload)
+        coupled = coupled_run(make_params(policy_name, make_kwargs), trace)
         params = make_params(policy_name, make_kwargs)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        params = make_params(policy_name, make_kwargs)
-        replayed = TransRecSystem(params).run_trace(trace, mode="replay")
+        replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
-
-    def test_auto_mode_matches_coupled(self):
-        trace = run_workload("sha")
-        params = make_params("rotation", dict)
-        auto = TransRecSystem(params).run_trace(trace)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        assert_results_identical(coupled, auto)
-
-    def test_unknown_mode_rejected(self):
-        params = make_params("baseline", dict)
-        with pytest.raises(ConfigurationError, match="unknown run mode"):
-            TransRecSystem(params).run_trace(
-                run_workload("bitcount"), mode="vectorized"
-            )
 
     @settings(deadline=None, max_examples=8)
     @given(
@@ -152,8 +141,8 @@ class TestReplayEquivalence:
         params = SystemParams(
             geometry=GEOMETRY, policy="random", policy_kwargs={"seed": seed}
         )
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        replayed = TransRecSystem(params).run_trace(trace, mode="replay")
+        coupled = coupled_run(params, trace)
+        replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
 
 
@@ -303,80 +292,6 @@ class TestSyntheticScheduleReplay:
             )
 
 
-class TestDiskScheduleCache:
-    def _params(self):
-        return SystemParams(geometry=GEOMETRY, policy="rotation")
-
-    def test_round_trip_skips_recompute(self, tmp_path, monkeypatch):
-        trace = run_workload("bitcount")
-        previous = set_schedule_cache_dir(tmp_path)
-        try:
-            clear_schedule_caches()
-            first = shared_schedule(self._params(), trace)
-            files = list(tmp_path.glob("*.pkl"))
-            assert len(files) == 1
-            clear_schedule_caches()
-            # A cold process must load the pickle, not walk again.
-            monkeypatch.setattr(
-                "repro.system.schedule.compute_schedule",
-                lambda *args, **kwargs: pytest.fail(
-                    "disk-cached schedule was recomputed"
-                ),
-            )
-            second = shared_schedule(self._params(), trace)
-            assert second.transrec_cycles == first.transrec_cycles
-            assert second.n_launches == first.n_launches
-            np.testing.assert_array_equal(
-                second.exec_cycles, first.exec_cycles
-            )
-            # Replays of the loaded schedule equal replays of the
-            # walked one.
-            a = replay_schedule(first, GEOMETRY, make_policy("rotation"))
-            b = replay_schedule(second, GEOMETRY, make_policy("rotation"))
-            np.testing.assert_array_equal(
-                a.tracker.execution_counts, b.tracker.execution_counts
-            )
-        finally:
-            set_schedule_cache_dir(previous)
-            clear_schedule_caches()
-
-    def test_corrupt_cache_file_recomputed(self, tmp_path):
-        trace = run_workload("bitcount")
-        previous = set_schedule_cache_dir(tmp_path)
-        try:
-            clear_schedule_caches()
-            first = shared_schedule(self._params(), trace)
-            for path in tmp_path.glob("*.pkl"):
-                path.write_bytes(b"not a pickle")
-            clear_schedule_caches()
-            second = shared_schedule(self._params(), trace)
-            assert second.transrec_cycles == first.transrec_cycles
-        finally:
-            set_schedule_cache_dir(previous)
-            clear_schedule_caches()
-
-    def test_distinct_pipelines_get_distinct_files(self, tmp_path):
-        trace = run_workload("bitcount")
-        previous = set_schedule_cache_dir(tmp_path)
-        try:
-            clear_schedule_caches()
-            shared_schedule(self._params(), trace)
-            shared_schedule(
-                SystemParams(geometry=FabricGeometry(rows=2, cols=16)),
-                trace,
-            )
-            assert len(list(tmp_path.glob("*.pkl"))) == 2
-        finally:
-            set_schedule_cache_dir(previous)
-            clear_schedule_caches()
-
-    def test_cache_disabled_by_default(self, tmp_path):
-        assert schedule_cache_dir() is None
-        clear_schedule_caches()
-        shared_schedule(self._params(), run_workload("bitcount"))
-        assert list(tmp_path.glob("*.pkl")) == []
-
-
 class TestStressCoupling:
     def test_annealing_is_stress_coupled(self):
         params = SystemParams(
@@ -387,17 +302,20 @@ class TestStressCoupling:
         assert params_stress_coupled(params)
         assert TransRecSystem(params).stress_coupled
 
-    def test_stress_coupled_point_refuses_replay(self):
+    def test_stress_coupled_schedule_refuses_replay(self):
         params = SystemParams(
             geometry=GEOMETRY,
             policy="rotation",
             mapper="annealing",
             mapper_kwargs={"seed": 0},
         )
+        allocator = ConfigurationAllocator(GEOMETRY, make_policy("rotation"))
+        schedule = compute_schedule(
+            params, run_workload("bitcount"), allocator=allocator
+        )
+        assert schedule.stress_coupled
         with pytest.raises(ConfigurationError, match="stress-coupled"):
-            TransRecSystem(params).run_trace(
-                run_workload("bitcount"), mode="replay"
-            )
+            replay_schedule(schedule, GEOMETRY, make_policy("rotation"))
 
     def test_compute_schedule_refuses_stress_coupled_without_allocator(self):
         params = SystemParams(
@@ -408,7 +326,27 @@ class TestStressCoupling:
         with pytest.raises(ConfigurationError, match="stress-coupled"):
             compute_schedule(params, run_workload("bitcount"))
 
-    def test_stress_coupled_auto_equals_coupled(self):
+    @pytest.mark.parametrize(
+        "mapper_kwargs,driver",
+        [({"seed": 0}, "coupled"), ({"seed": 0, "stress_weight": 0.0}, "replay")],
+    )
+    def test_run_trace_driver_follows_mapper(self, mapper_kwargs, driver):
+        params = SystemParams(
+            geometry=GEOMETRY, mapper="annealing", mapper_kwargs=mapper_kwargs
+        )
+        with obs.telemetry():
+            obs.reset()
+            TransRecSystem(params).run_trace(run_workload("bitcount"))
+            counters = dict(obs.state.counters)
+            obs.reset()
+        assert counters.get(f"transrec.runs.{driver}") == 1
+        assert sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("transrec.runs.")
+        ) == 1
+
+    def test_stress_coupled_run_trace_equals_coupled(self):
         trace = run_workload("bitcount")
         params = SystemParams(
             geometry=GEOMETRY,
@@ -417,7 +355,7 @@ class TestStressCoupling:
             mapper_kwargs={"seed": 3},
         )
         auto = TransRecSystem(params).run_trace(trace)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
+        coupled = coupled_run(params, trace)
         assert_results_identical(coupled, auto)
 
     def test_zero_stress_weight_annealing_shares_schedules(self):
@@ -429,8 +367,8 @@ class TestStressCoupling:
             mapper_kwargs={"seed": 0, "stress_weight": 0.0},
         )
         assert not params_stress_coupled(params)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        replayed = TransRecSystem(params).run_trace(trace, mode="replay")
+        coupled = coupled_run(params, trace)
+        replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
 
 
@@ -475,6 +413,23 @@ class TestScheduleSharing:
         assert dataclasses.astuple(timing_a) == dataclasses.astuple(timing_b)
         assert energy_a == energy_b
 
+    def test_result_template_copies_every_nonfield_counter(self):
+        params = SystemParams(
+            geometry=GEOMETRY,
+            frontend=FrontEndSpec.make("bimodal", interrupt_rate=0.002, seed=3),
+        )
+        schedule = compute_schedule(params, run_workload("crc32"))
+        cgra, cache_stats = schedule.result_template()
+        assert cgra is not schedule.cgra
+        assert cache_stats is not schedule.cache_stats
+        copied = {name: getattr(cgra, name) for name in NONFIELD_COUNTERS}
+        assert copied == {
+            name: getattr(schedule.cgra, name) for name in NONFIELD_COUNTERS
+        }
+        assert all(copied[name] > 0 for name in (
+            "config_cache_hits", "wrong_path_launches", "frontend_interrupts"
+        ))
+
     def test_results_do_not_alias_mutable_stats(self):
         trace = run_workload("bitcount")
         params = SystemParams(geometry=GEOMETRY, policy="baseline")
@@ -509,12 +464,6 @@ class TestCampaignGrouping:
         assert len(groups) == 1
         assert sorted(groups[0]) == list(range(len(points)))
 
-    def test_share_schedules_false_is_all_singletons(self):
-        spec = self._spec()
-        points = spec.design_points()
-        groups = CampaignRunner(share_schedules=False).schedule_groups(points)
-        assert groups == [[index] for index in range(len(points))]
-
     def test_stress_coupled_points_get_singleton_groups(self):
         spec = CampaignSpec(
             geometries=((4, 8),),
@@ -547,14 +496,14 @@ class TestCampaignGrouping:
     def test_grouped_campaign_bit_identical_to_coupled(self):
         spec = self._spec()
         shared = CampaignRunner().run(spec)
-        coupled = CampaignRunner(share_schedules=False).run(spec)
         for point in spec.design_points():
-            run_a = shared.runs[point]
-            run_b = coupled.runs[point]
-            for name in run_a.results:
-                assert_results_identical(
-                    run_b.results[name], run_a.results[name]
+            results = shared.runs[point].results
+            assert sorted(results) == sorted(point.workloads)
+            for name, result in results.items():
+                coupled = coupled_run(
+                    _build_params(point, None), run_workload(name)
                 )
+                assert_results_identical(coupled, result)
 
     def test_parallel_grouped_campaign_matches_serial(self):
         spec = self._spec()

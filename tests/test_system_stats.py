@@ -1,5 +1,7 @@
 """Tests for the result containers and their derived metrics."""
 
+import dataclasses
+
 import pytest
 
 from repro.cgra.fabric import FabricGeometry
@@ -7,7 +9,7 @@ from repro.core.utilization import UtilizationTracker
 from repro.dbt.config_cache import ConfigCacheStats
 from repro.gpp.timing import GPPTimingResult
 from repro.hw.energy import EnergyReport
-from repro.system.stats import CGRAStats, SystemResult
+from repro.system.stats import NONFIELD_COUNTERS, CGRAStats, SystemResult
 
 
 def timing(cycles=1000, instructions=800):
@@ -72,6 +74,16 @@ class TestCGRAStats:
 
     def test_commit_efficiency_empty(self):
         assert CGRAStats().commit_efficiency == 0.0
+
+    def test_nonfield_counters_start_at_zero_outside_the_fields(self):
+        stats = CGRAStats()
+        fields = {field.name for field in dataclasses.fields(CGRAStats)}
+        assert len(set(NONFIELD_COUNTERS)) == len(NONFIELD_COUNTERS) == 9
+        assert fields.isdisjoint(NONFIELD_COUNTERS)
+        assert all(getattr(stats, name) == 0 for name in NONFIELD_COUNTERS)
+        # no other plain attribute escapes the counter list
+        extra = set(vars(stats)) - fields
+        assert extra == set(NONFIELD_COUNTERS)
 
 
 class TestGPPTimingResult:
