@@ -23,6 +23,10 @@ resilience layer's core contract:
    (retries/pool rebuilds for the crash, append errors for the store
    faults); a run that "passed" without the faults actually firing is
    a broken injection, not a passing check.
+4. **Telemetry** — the work counters the pool workers ship home count
+   every unit of work exactly once, however many attempts it took:
+   ``campaign.points`` equals the campaign's point count and
+   ``fleet.devices.expanded`` equals ``--devices``.
 
 Exit 0 on success, 1 with a diagnostic on any violation.
 """
@@ -119,6 +123,12 @@ def _campaign_chaos(workers: int) -> None:
         raise AssertionError(
             f"campaign: no injected fault was recovered (counters={counters})"
         )
+    points = len(spec.design_points())
+    if counters.get("campaign.points") != points:
+        raise AssertionError(
+            f"campaign: campaign.points={counters.get('campaign.points')} "
+            f"for {points} design points (counters={counters})"
+        )
     print(
         f"campaign chaos: crash+hang+error fired {fired} and recovered "
         f"(retries={recoveries}, "
@@ -197,6 +207,12 @@ def _fleet_chaos(devices: int, workers: int) -> None:
         if counters.get("resilience.retries", 0) == 0:
             raise AssertionError(
                 f"fleet: crashed chunk was never retried (counters={counters})"
+            )
+        if counters.get("fleet.devices.expanded") != devices:
+            raise AssertionError(
+                "fleet: fleet.devices.expanded="
+                f"{counters.get('fleet.devices.expanded')} for {devices} "
+                f"devices (counters={counters})"
             )
 
         # The degraded store (2 missing records) is still a valid

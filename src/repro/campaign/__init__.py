@@ -2,8 +2,9 @@
 
 A *campaign* is the cross product of fabric geometries, mappers,
 allocation policies, workloads and RNG seeds. :class:`CampaignSpec` declares it,
-:class:`CampaignRunner` evaluates every resulting design point (serially
-or on a process pool) against memoised workload traces — grouping
+:class:`CampaignRunner` evaluates every resulting design point (as
+tasks of one :class:`~repro.resilience.ResilientExecutor`, inline or on
+a process pool) against memoised workload traces — grouping
 points that differ only in allocation policy onto shared launch
 schedules (one trace walk per pipeline, vectorized replay per policy;
 see :mod:`repro.system.schedule`) — and per-point JSON artifacts make

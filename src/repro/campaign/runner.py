@@ -1,4 +1,5 @@
-"""Campaign evaluation: serial or process-pool execution of design points.
+"""Campaign evaluation: every design point runs as a task of one
+:class:`~repro.resilience.ResilientExecutor`.
 
 The runner owns the three scale levers the ROADMAP asks for:
 
@@ -14,11 +15,18 @@ The runner owns the three scale levers the ROADMAP asks for:
   stress-coupled mappers (e.g. annealing with live stress feedback)
   opt out and keep the coupled walk.
 * **Process-pool parallelism** — schedule groups are embarrassingly
-  parallel; ``max_workers > 1`` fans them out over a
-  ``ProcessPoolExecutor`` while keeping results in submission order.
-  Each group's points run in one worker, so the group's schedules are
-  computed exactly once. Splitting a large group for parallelism costs
-  one extra walk per chunk.
+  parallel. With ``max_workers > 1`` each pool task is one schedule
+  group (large groups split until the pool is busy), so the group's
+  schedules are computed once per task; splitting a group costs one
+  extra walk per chunk. Otherwise — and always with explicit
+  ``traces``, which are not shipped to workers — the executor runs one
+  task per design point inline, and the per-process schedule memo
+  shares the walks. Results are bit-identical either way.
+
+The executor also retries, quarantines and degrades (see
+:mod:`repro.resilience.executor`) and carries pool workers' telemetry
+home, so the counters a run leaves in :mod:`repro.obs` do not depend
+on where its points ran.
 
 Artifacts: pass ``artifact_dir`` to persist one JSON summary per design
 point plus a ``campaign.json`` manifest describing the spec.
@@ -28,51 +36,25 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
 from repro.campaign.artifacts import write_json, write_telemetry
 from repro.campaign.results import SuiteRun, suite_run_summary
-from repro.campaign.spec import CampaignSpec, DesignPoint
-from repro.cgra.fabric import FabricGeometry
+from repro.campaign.spec import CampaignSpec, DesignPoint, system_params
 from repro.errors import ConfigurationError
-from repro.resilience import ResilientExecutor, RetryPolicy, TaskFailure
+from repro.resilience import (
+    ResilientExecutor,
+    RetryPolicy,
+    TaskFailure,
+    require_complete,
+)
 from repro.sim.trace import Trace
 from repro.system.params import SystemParams
 from repro.system.schedule import params_stress_coupled, schedule_key
 from repro.system.transrec import TransRecSystem
 from repro.workloads.suite import run_workload
-
-
-def _build_params(
-    point: DesignPoint, base_params: SystemParams | None
-) -> SystemParams:
-    # A point-declared ctx_lines is a hard routing budget enforced by
-    # the whole mapping stack; None keeps elastic default sizing.
-    geometry = FabricGeometry(
-        rows=point.rows, cols=point.cols, ctx_lines=point.ctx_lines
-    )
-    if base_params is None:
-        return SystemParams(
-            geometry=geometry,
-            policy=point.policy.name,
-            policy_kwargs=point.policy.as_kwargs(),
-            mapper=point.mapper.name,
-            mapper_kwargs=point.mapper.as_kwargs(),
-            frontend=point.frontend,
-        )
-    # dataclasses.replace keeps every other (including future) field
-    # of the override params intact.
-    return replace(
-        base_params,
-        geometry=geometry,
-        policy=point.policy.name,
-        policy_kwargs=point.policy.as_kwargs(),
-        mapper=point.mapper.name,
-        mapper_kwargs=point.mapper.as_kwargs(),
-        frontend=point.frontend,
-    )
 
 
 def evaluate_design_point(
@@ -89,7 +71,9 @@ def evaluate_design_point(
     the point's workloads are evaluated, so results and artifacts
     always agree with the spec.
     """
-    system = TransRecSystem(_build_params(point, base_params))
+    system = TransRecSystem(
+        system_params(point, point.policy, base_params, point.mapper)
+    )
     if traces is None:
         traces = {name: run_workload(name) for name in point.workloads}
     else:
@@ -110,30 +94,19 @@ def evaluate_design_point(
     )
 
 
-def _pool_evaluate_group(
-    payload: tuple[tuple[DesignPoint, ...], SystemParams | None, str | None],
-) -> tuple[list[SuiteRun], obs.TelemetrySnapshot | None]:
-    """Evaluate one schedule group in a pool worker.
-
-    The group's points run sequentially in this process, so the first
-    point's walks warm the per-process schedule memo and every further
-    point replays them.
-
-    The payload carries the parent's telemetry mode (``None`` = off,
-    ``"telemetry"`` = counters/timers, ``"trace"`` = additionally
-    capture trace events); the worker's registry is reset per group —
-    pool workers serve several groups — and its snapshot rides home
-    with the results for the parent to :func:`~repro.obs.absorb`.
-    """
-    points, base_params, obs_mode = payload
-    if obs_mode is not None:
-        obs.set_enabled(True)
-        obs.reset()
-        if obs_mode == "trace":
-            obs.tracing.start()
-    runs = [evaluate_design_point(point, base_params) for point in points]
-    snap = obs.snapshot() if obs_mode is not None else None
-    return runs, snap
+def _evaluate_points(
+    payload: tuple[
+        tuple[DesignPoint, ...], SystemParams | None, dict[str, Trace] | None
+    ],
+) -> list[SuiteRun]:
+    """One executor task: evaluate its design points in order. On a
+    pool the points form a schedule group, so the first point's walks
+    warm the worker's schedule memo and every further point replays
+    them."""
+    points, base_params, traces = payload
+    return [
+        evaluate_design_point(point, base_params, traces) for point in points
+    ]
 
 
 @dataclass
@@ -141,9 +114,10 @@ class CampaignResult:
     """Evaluated campaign: design points mapped to their suite runs
     (insertion order follows ``spec.design_points()``).
 
-    ``failures`` lists quarantined tasks (points whose schedule group
-    could not be evaluated even after retries — their points are
-    absent from ``runs``); it is empty on every healthy run.
+    ``failures`` lists quarantined tasks (points whose task could not
+    be evaluated even after retries — their points are absent from
+    ``runs``); it is empty on every healthy run. Consumers that need
+    every point call :meth:`require_complete` (or :meth:`only_run`).
     """
 
     spec: CampaignSpec
@@ -157,8 +131,15 @@ class CampaignResult:
     def points(self) -> tuple[DesignPoint, ...]:
         return tuple(self.runs)
 
+    def require_complete(self) -> "CampaignResult":
+        """This result, or :class:`~repro.errors.ConfigurationError`
+        naming every quarantined task when a point is missing."""
+        require_complete(f"campaign {self.spec.name!r}", self.failures)
+        return self
+
     def only_run(self) -> SuiteRun:
         """The single run of a one-point campaign."""
+        self.require_complete()
         if len(self.runs) != 1:
             raise ConfigurationError(
                 f"campaign has {len(self.runs)} design points, not 1"
@@ -175,23 +156,20 @@ class CampaignRunner:
     """Evaluates campaign specs.
 
     Args:
-        max_workers: ``None``/``0``/``1`` evaluates serially in-process
-            (sharing the memoised traces and schedules); ``> 1`` fans
-            schedule groups out over a process pool.
+        max_workers: ``None``/``0``/``1`` evaluates one point per task
+            inline (sharing the memoised traces and schedules); ``> 1``
+            fans schedule groups out over a process pool.
         artifact_dir: when given, one JSON summary per design point and
             a ``campaign.json`` manifest are written there.
         base_params: timing/energy parameter overrides applied to every
             design point (geometry and policy are taken from the point).
         retry: :class:`~repro.resilience.RetryPolicy` governing how
-            pool-task failures (worker crashes, hangs, transient
-            exceptions) are retried before a group is quarantined
-            (default policy: 3 attempts, seeded exponential backoff).
+            task failures (worker crashes, hangs, transient exceptions)
+            are retried before a task is quarantined (default policy:
+            3 attempts, seeded exponential backoff).
         task_timeout: per-group wall-clock budget in seconds for pool
             execution; a hung worker past the budget is abandoned and
             its group requeued (``None`` = unbounded, the default).
-        max_pool_rebuilds: broken-pool recoveries tolerated before the
-            runner degrades to serial in-process evaluation of the
-            remaining groups (results stay bit-identical either way).
     """
 
     def __init__(
@@ -201,14 +179,12 @@ class CampaignRunner:
         base_params: SystemParams | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
-        max_pool_rebuilds: int = 3,
     ) -> None:
         self.max_workers = max_workers
         self.artifact_dir = Path(artifact_dir) if artifact_dir else None
         self.base_params = base_params
         self.retry = retry if retry is not None else RetryPolicy()
         self.task_timeout = task_timeout
-        self.max_pool_rebuilds = max_pool_rebuilds
 
     def schedule_groups(
         self, points: tuple[DesignPoint, ...]
@@ -224,7 +200,9 @@ class CampaignRunner:
         groups: dict[object, list[int]] = {}
         order: list[object] = []
         for index, point in enumerate(points):
-            params = _build_params(point, self.base_params)
+            params = system_params(
+                point, point.policy, self.base_params, point.mapper
+            )
             if params_stress_coupled(params):
                 key: object = ("coupled", index)
             else:
@@ -292,47 +270,74 @@ class CampaignRunner:
     ) -> CampaignResult:
         """Evaluate every design point of ``spec``.
 
-        ``traces`` pins explicit traces (serial evaluation only, since
+        ``traces`` pins explicit traces (evaluated inline, since
         arbitrary traces are not shipped to pool workers); without it
         the named workloads are resolved from the memoised suite.
         """
         points = spec.design_points()
         if traces is None:
-            # Warm the shared trace cache once so serial evaluation
-            # reuses it and fork-based pool workers inherit it.
+            # Warm the shared trace cache once so inline tasks reuse it
+            # and fork-based pool workers inherit it.
             for name in spec.resolved_workloads():
                 run_workload(name)
-        parallel = (
-            self.max_workers is not None
-            and self.max_workers > 1
-            and traces is None
-            and len(points) > 1
+        workers = (
+            (self.max_workers or 1)
+            if traces is None and len(points) > 1
+            else 1
         )
-        telemetry_on = obs.enabled()
-        obs_mode = (
-            ("trace" if obs.tracing.active() else "telemetry")
-            if telemetry_on
-            else None
-        )
+        if workers > 1:
+            groups = self._balanced_groups(
+                self.schedule_groups(points), workers, points
+            )
+            keys = [
+                f"group:{position}:{self._group_label(points[group[0]])}"
+                for position, group in enumerate(groups)
+            ]
+        else:
+            # Inline, the per-process schedule memo shares walks in any
+            # point order: one task per point.
+            groups = [[index] for index in range(len(points))]
+            keys = [
+                f"point:{index}:{point.key}"
+                for index, point in enumerate(points)
+            ]
+        payloads = [
+            (tuple(points[index] for index in group), self.base_params, traces)
+            for group in groups
+        ]
         started = time.perf_counter()
         suite_runs: list[SuiteRun | None] = [None] * len(points)
-        failures: list[TaskFailure] = []
+        done = 0
+
+        def collect(position: int, runs: list[SuiteRun]) -> None:
+            nonlocal done
+            for index, run in zip(groups[position], runs):
+                suite_runs[index] = run
+            done += len(runs)
+            if obs.enabled():
+                obs.log.progress(
+                    "campaign.task",
+                    done,
+                    len(points),
+                    time.perf_counter() - started,
+                    task=keys[position],
+                    points=len(runs),
+                )
+
+        executor = ResilientExecutor(
+            _evaluate_points,
+            workers,
+            retry=self.retry,
+            task_timeout=self.task_timeout,
+        )
         try:
-            if parallel:
-                self._run_parallel(
-                    points, obs_mode, telemetry_on, started, suite_runs,
-                    failures,
-                )
-            else:
-                self._run_serial(
-                    points, traces, telemetry_on, started, suite_runs
-                )
+            report = executor.run(payloads, keys=keys, on_result=collect)
         except KeyboardInterrupt:
             # Salvage: completed points are real, deterministic results
             # — persist them (plus the partial manifest) before
             # re-raising, so a Ctrl-C mid-campaign loses only the
             # unfinished work.
-            partial = self._build_result(spec, points, suite_runs, failures)
+            partial = self._build_result(spec, points, suite_runs, [])
             if self.artifact_dir is not None:
                 self._write_artifacts(partial, interrupted=True)
                 obs.log.emit(
@@ -342,86 +347,14 @@ class CampaignRunner:
                     artifact_dir=str(self.artifact_dir),
                 )
             raise
-        result = self._build_result(spec, points, suite_runs, failures)
+        for failure in report.failures:
+            failure.detail["points"] = [
+                points[index].key for index in groups[keys.index(failure.key)]
+            ]
+        result = self._build_result(spec, points, suite_runs, report.failures)
         if self.artifact_dir is not None:
             self._write_artifacts(result)
         return result
-
-    def _run_parallel(
-        self,
-        points: tuple[DesignPoint, ...],
-        obs_mode: str | None,
-        telemetry_on: bool,
-        started: float,
-        suite_runs: list[SuiteRun | None],
-        failures: list[TaskFailure],
-    ) -> None:
-        groups = self._balanced_groups(
-            self.schedule_groups(points), self.max_workers, points
-        )
-        payloads = [
-            (tuple(points[index] for index in group), self.base_params, obs_mode)
-            for group in groups
-        ]
-        keys = [
-            f"group:{position}:{self._group_label(points[group[0]])}"
-            for position, group in enumerate(groups)
-        ]
-        progress = {"done": 0}
-
-        def collect(position: int, payload) -> None:
-            group_runs, snap = payload
-            for index, run in zip(groups[position], group_runs):
-                suite_runs[index] = run
-            progress["done"] += len(groups[position])
-            if telemetry_on:
-                obs.absorb(snap)
-                obs.log.progress(
-                    "campaign.group",
-                    progress["done"],
-                    len(points),
-                    time.perf_counter() - started,
-                    group=self._group_label(points[groups[position][0]]),
-                    points=len(groups[position]),
-                )
-
-        executor = ResilientExecutor(
-            _pool_evaluate_group,
-            self.max_workers,
-            retry=self.retry,
-            task_timeout=self.task_timeout,
-            max_pool_rebuilds=self.max_pool_rebuilds,
-        )
-        report = executor.run(payloads, keys=keys, on_result=collect)
-        for failure in report.failures:
-            position = keys.index(failure.key)
-            failure.detail["points"] = [
-                points[index].key for index in groups[position]
-            ]
-            failures.append(failure)
-
-    def _run_serial(
-        self,
-        points: tuple[DesignPoint, ...],
-        traces: dict[str, Trace] | None,
-        telemetry_on: bool,
-        started: float,
-        suite_runs: list[SuiteRun | None],
-    ) -> None:
-        # Serial evaluation shares schedules through the in-process
-        # memo regardless of point order; no grouping needed.
-        for index, point in enumerate(points):
-            suite_runs[index] = evaluate_design_point(
-                point, self.base_params, traces
-            )
-            if telemetry_on:
-                obs.log.progress(
-                    "campaign.point",
-                    index + 1,
-                    len(points),
-                    time.perf_counter() - started,
-                    point=point.label,
-                )
 
     @staticmethod
     def _build_result(
@@ -439,8 +372,10 @@ class CampaignRunner:
 
     def _group_label(self, point: DesignPoint) -> str:
         """Short stable digest of the point's schedule key (names the
-        schedule-sharing group in progress lines)."""
-        params = _build_params(point, self.base_params)
+        schedule-sharing group's pool task)."""
+        params = system_params(
+            point, point.policy, self.base_params, point.mapper
+        )
         return hashlib.sha256(
             repr(schedule_key(params)).encode()
         ).hexdigest()[:8]
@@ -473,8 +408,8 @@ class CampaignRunner:
                 suite_run_summary(point, run),
             )
         if obs.enabled():
-            # The merged registry: this process plus every absorbed
-            # pool-worker snapshot.
+            # The merged registry: inline tasks recorded here, pool
+            # workers' snapshots were absorbed by the executor.
             write_telemetry(
                 self.artifact_dir / "telemetry.json", obs.snapshot()
             )

@@ -3,10 +3,8 @@
 A campaign enumerates design points — (geometry, mapper, policy,
 workload set) combinations — without running anything. Seeds expand
 seedable policies (``random``) and seedable mappers (``annealing``)
-into design points, either as a cross product (``seed_mode="cross"``,
-the default: every seeded policy meets every seeded mapper) or paired
-(``seed_mode="paired"``: seed *s* means policy seed *s* with mapper
-seed *s*, one point per seed — the variance-study expansion).
+into design points as a cross product: every seeded policy meets every
+seeded mapper.
 
 Geometries are ``(rows, cols)`` shapes, optionally ``(rows, cols,
 ctx_lines)`` to declare a hard context-line routing budget for the
@@ -17,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.cgra.fabric import FabricGeometry
 from repro.core.policy import available_policies, policy_class
 from repro.errors import ConfigurationError
 from repro.frontend.spec import FrontEndSpec
 from repro.mapping import available_mappers, mapper_class
+from repro.system.params import SystemParams
 from repro.workloads.suite import workload_names
 
 
@@ -209,6 +209,39 @@ class DesignPoint:
         return base
 
 
+def system_params(
+    shape,
+    policy: PolicySpec,
+    base_params: SystemParams | None = None,
+    mapper: MapperSpec | None = None,
+) -> SystemParams:
+    """The :class:`SystemParams` of one evaluation: ``shape`` (a
+    :class:`DesignPoint` or a fleet spec — anything with ``rows``,
+    ``cols``, ``ctx_lines`` and ``frontend``) sets the fabric and the
+    front end, ``policy`` the allocation policy and ``mapper`` (when
+    given) the mapper; every other field comes from ``base_params``.
+
+    A declared ``ctx_lines`` is a hard routing budget enforced by the
+    whole mapping stack; ``None`` keeps elastic default sizing.
+    """
+    fields = {
+        "geometry": FabricGeometry(
+            rows=shape.rows, cols=shape.cols, ctx_lines=shape.ctx_lines
+        ),
+        "policy": policy.name,
+        "policy_kwargs": policy.as_kwargs(),
+        "frontend": shape.frontend,
+    }
+    if mapper is not None:
+        fields["mapper"] = mapper.name
+        fields["mapper_kwargs"] = mapper.as_kwargs()
+    if base_params is None:
+        return SystemParams(**fields)
+    # dataclasses.replace keeps every other (including future) field
+    # of the override params intact.
+    return replace(base_params, **fields)
+
+
 def _geometry_parts(shape: tuple) -> tuple[int, int, int | None]:
     """Normalise a geometry entry to ``(rows, cols, ctx_lines)``."""
     if len(shape) == 2:
@@ -220,12 +253,6 @@ def _geometry_parts(shape: tuple) -> tuple[int, int, int | None]:
     raise ConfigurationError(
         f"geometry entries are (rows, cols[, ctx_lines]), got {shape!r}"
     )
-
-
-#: Seed-expansion modes: ``cross`` pairs every seeded policy with every
-#: seeded mapper; ``paired`` ties them — seed *s* means (policy seed s,
-#: mapper seed s).
-SEED_MODES = ("cross", "paired")
 
 
 @dataclass(frozen=True)
@@ -244,13 +271,10 @@ class CampaignSpec:
         seeds: when non-empty, every *seedable* policy and mapper is
             expanded into seed variants (non-seedable ones are kept
             as-is) — this is how the annealing mapper is seeded
-            deterministically from the campaign seed.
-        seed_mode: ``"cross"`` (default) expands policy and mapper
-            seeds independently and takes the cross product —
-            ``len(seeds)**2`` points per (geometry, seedable mapper,
-            seedable policy) combination. ``"paired"`` ties them: seed
-            *s* means (policy seed s, mapper seed s), one point per
-            seed — the variance-study expansion from the ROADMAP.
+            deterministically from the campaign seed. Policy and
+            mapper seeds expand independently: ``len(seeds)**2``
+            points per (geometry, seedable mapper, seedable policy)
+            combination.
         frontends: speculative front ends to evaluate; entries may be
             ``None`` for the clean committed stream. Empty selects the
             clean stream only (the pre-front-end behaviour).
@@ -263,7 +287,6 @@ class CampaignSpec:
     seeds: tuple[int, ...] = ()
     name: str = "campaign"
     mappers: tuple[MapperSpec, ...] = ()
-    seed_mode: str = "cross"
     frontends: tuple[FrontEndSpec | None, ...] = ()
 
     def __post_init__(self) -> None:
@@ -271,11 +294,6 @@ class CampaignSpec:
             raise ConfigurationError("campaign needs at least one geometry")
         if not self.policies:
             raise ConfigurationError("campaign needs at least one policy")
-        if self.seed_mode not in SEED_MODES:
-            raise ConfigurationError(
-                f"unknown seed mode {self.seed_mode!r}; "
-                f"available: {list(SEED_MODES)}"
-            )
         for shape in self.geometries:
             rows, cols, ctx_lines = _geometry_parts(shape)
             if rows < 1 or cols < 1:
@@ -314,36 +332,9 @@ class CampaignSpec:
         """Mappers with seed expansion applied (seedable ones only)."""
         return _expand_seeds(self.resolved_mappers(), self.seeds)
 
-    def _seed_combinations(
-        self,
-    ) -> tuple[tuple[MapperSpec, PolicySpec], ...]:
-        """(mapper, policy) pairs after seed expansion, per
-        ``seed_mode``."""
-        if self.seed_mode == "cross" or not self.seeds:
-            return tuple(
-                (mapper, policy)
-                for mapper in self.expanded_mappers()
-                for policy in self.expanded_policies()
-            )
-        # Paired: seed s pins every seedable component to s at once.
-        pairs: list[tuple[MapperSpec, PolicySpec]] = []
-        for mapper in self.resolved_mappers():
-            for policy in self.policies:
-                if not mapper.seedable and not policy.seedable:
-                    pairs.append((mapper, policy))
-                    continue
-                for seed in self.seeds:
-                    pairs.append(
-                        (
-                            mapper.with_seed(seed) if mapper.seedable else mapper,
-                            policy.with_seed(seed) if policy.seedable else policy,
-                        )
-                    )
-        return tuple(pairs)
-
     def design_points(self) -> tuple[DesignPoint, ...]:
         """Every design point: geometries outermost, then front ends,
-        then mappers, policies innermost (in paired mode, then seeds).
+        then mappers, policies innermost.
 
         Raises:
             ConfigurationError: on duplicate design points (repeated
@@ -364,7 +355,8 @@ class CampaignSpec:
             )
             for rows, cols, ctx_lines in map(_geometry_parts, self.geometries)
             for frontend in self.resolved_frontends()
-            for mapper, policy in self._seed_combinations()
+            for mapper in self.expanded_mappers()
+            for policy in self.expanded_policies()
         )
         seen: set[DesignPoint] = set()
         for point in points:
@@ -383,9 +375,9 @@ class CampaignSpec:
     def to_jsonable(self) -> dict:
         """Manifest form (see ``campaign.json`` artifacts).
 
-        The ``mappers``, ``seed_mode`` and ``frontends`` entries are
-        emitted only for campaigns that set them, keeping pre-mapper,
-        pre-routing and pre-front-end manifests byte-identical.
+        The ``mappers`` and ``frontends`` entries are emitted only for
+        campaigns that set them, keeping pre-mapper, pre-routing and
+        pre-front-end manifests byte-identical.
         """
         payload = {
             "name": self.name,
@@ -402,8 +394,6 @@ class CampaignSpec:
                 {"name": mapper.name, "kwargs": mapper.as_kwargs()}
                 for mapper in self.mappers
             ]
-        if self.seed_mode != "cross":
-            payload["seed_mode"] = self.seed_mode
         if self.frontends:
             payload["frontends"] = [
                 spec.to_jsonable() if spec is not None else None
@@ -413,7 +403,20 @@ class CampaignSpec:
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "CampaignSpec":
-        """Inverse of :meth:`to_jsonable`."""
+        """Inverse of :meth:`to_jsonable`.
+
+        Raises:
+            ConfigurationError: on a manifest carrying ``seed_mode``.
+                Seeds always expand as a cross product, so re-expanding
+                a manifest that asked for another expansion would run
+                other design points than it names.
+        """
+        if "seed_mode" in payload:
+            raise ConfigurationError(
+                f"campaign manifest sets seed_mode="
+                f"{payload['seed_mode']!r}; seeds now always expand as a "
+                "cross product"
+            )
         return cls(
             name=payload.get("name", "campaign"),
             geometries=tuple(
@@ -430,7 +433,6 @@ class CampaignSpec:
                 MapperSpec.make(entry["name"], **entry.get("kwargs", {}))
                 for entry in payload.get("mappers", ())
             ),
-            seed_mode=payload.get("seed_mode", "cross"),
             frontends=tuple(
                 FrontEndSpec.from_jsonable(entry) if entry is not None else None
                 for entry in payload.get("frontends", ())

@@ -4,12 +4,11 @@ Reproduces the exploration of Section IV-B: length (columns) from 8 to
 32 and width (rows) from 2 to 8, reporting execution time, energy and
 average FU utilization relative to the stand-alone GPP. Each (L, W)
 shape is one campaign design point; the campaign runner shares the
-memoised suite traces across all of them and can fan the grid out over
-a process pool (``max_workers``). Geometry points are distinct
-schedule groups (the walk depends on the fabric shape), so the sweep
-parallelises exactly as before; sweeping *policies* on one shape hits
-the shared-schedule replay path instead (see
-:mod:`repro.system.schedule`).
+memoised suite traces across all of them. Geometry points are distinct
+schedule groups (the walk depends on the fabric shape); sweeping
+*policies* on one shape hits the shared-schedule replay path instead
+(see :mod:`repro.system.schedule`). A sweep needs every point: a
+quarantined point raises rather than leaving a hole in the grid.
 """
 
 from __future__ import annotations
@@ -120,20 +119,21 @@ def sweep(
     lengths: tuple[int, ...] = DEFAULT_LENGTHS,
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
     policy: str = "baseline",
-    max_workers: int | None = None,
     mapper: str = "greedy",
     mapper_kwargs: dict | None = None,
     ctx_lines: int | None = None,
 ) -> list[DSEPoint]:
     """Evaluate every (L, W) combination; raster order over L then W.
 
-    Explicit ``traces`` always evaluate serially (trace objects are not
-    shipped to pool workers). Pass ``traces=None`` to run the full
-    verified suite — then ``max_workers > 1`` distributes the grid
-    over a process pool. ``mapper`` selects the place-and-route stage
-    for every point, so the paper's geometry exploration can be re-run
-    under wear-aware mapping; ``ctx_lines`` declares a hard routing
-    budget applied to every shape (``None`` = elastic default sizing).
+    Pass ``traces=None`` to run the full verified suite. ``mapper``
+    selects the place-and-route stage for every point, so the paper's
+    geometry exploration can be re-run under wear-aware mapping;
+    ``ctx_lines`` declares a hard routing budget applied to every
+    shape (``None`` = elastic default sizing).
+
+    Raises:
+        ConfigurationError: naming every quarantined task when a
+            point could not be evaluated.
     """
     spec = CampaignSpec(
         geometries=tuple(
@@ -147,10 +147,7 @@ def sweep(
         workloads=tuple(traces) if traces is not None else (),
         name="dse_sweep",
     )
-    runner = CampaignRunner(
-        max_workers=max_workers if traces is None else None
-    )
-    result = runner.run(spec, traces=traces)
+    result = CampaignRunner().run(spec, traces=traces).require_complete()
     return [
         _dse_point(point.cols, point.rows, run)
         for point, run in result.runs.items()

@@ -43,13 +43,14 @@ class FleetExperimentResult:
     result: FleetResult
 
 
-def run(
-    spec: FleetSpec | None = None,
-    max_workers: int | None = None,
-) -> FleetExperimentResult:
+def run(spec: FleetSpec | None = None) -> FleetExperimentResult:
+    """Run the fleet; raises :class:`~repro.errors.ConfigurationError`
+    naming every quarantined shard task rather than rendering MTTF
+    over a partial fleet."""
     spec = spec if spec is not None else DEFAULT_SPEC
-    runner = FleetRunner(max_workers=max_workers)
-    return FleetExperimentResult(result=runner.run(spec))
+    return FleetExperimentResult(
+        result=FleetRunner().run(spec).require_complete()
+    )
 
 
 def render(result: FleetExperimentResult) -> str:

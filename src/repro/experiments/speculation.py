@@ -96,7 +96,7 @@ def run(model: NBTIModel | None = None) -> SpeculationResult:
         workloads=SUBSET,
         name="speculation",
     )
-    campaign = CampaignRunner().run(spec, traces=traces)
+    campaign = CampaignRunner().run(spec, traces=traces).require_complete()
 
     result = SpeculationResult(
         branches=sum(

@@ -16,8 +16,11 @@ memory regardless of fleet size:
   utilization, worst-FU duty cycle and NBTI lifetime — pure vectorized
   numpy on a ``(devices, workloads, cells)`` block — and folds the
   result straight into one compact :class:`ShardRecord` per policy.
-  Shards fan out over a process pool; only records cross process
-  boundaries, never per-device vectors.
+  Every shard runs as a task of one
+  :class:`~repro.resilience.ResilientExecutor`: inline one shard per
+  task, or chunks of shards on a process pool — only records (and the
+  worker's telemetry snapshot) cross process boundaries, never
+  per-device vectors.
 * **Phase 3 — merge**: records (freshly computed + resumed from the
   append-only store) fold into per-policy :class:`FleetAggregate`\\ s
   in sorted shard order — streaming lifetime percentiles, fleet
@@ -33,7 +36,7 @@ deterministic — produces bit-identical merged aggregates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +45,7 @@ from repro import obs
 from repro.aging.lifetime import device_lifetimes
 from repro.aging.nbti import NBTIModel
 from repro.campaign.artifacts import write_json
-from repro.campaign.spec import PolicySpec
-from repro.cgra.fabric import FabricGeometry
+from repro.campaign.spec import system_params
 from repro.core.policy import make_policy
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetShard, FleetSpec
@@ -54,13 +56,19 @@ from repro.fleet.store import (
     StoreSkips,
     merge_records,
 )
-from repro.resilience import ResilientExecutor, RetryPolicy, TaskFailure
+from repro.resilience import (
+    ResilientExecutor,
+    RetryPolicy,
+    TaskFailure,
+    require_complete,
+)
 from repro.system.params import SystemParams
 from repro.system.schedule import replay_schedule, shared_schedule
 from repro.workloads.suite import run_workload
 
 #: Shards per pool task: amortises task dispatch without letting one
-#: straggler hold a worker for the whole fleet.
+#: straggler hold a worker for the whole fleet. Inline tasks hold one
+#: shard, so every record reaches the store as soon as it exists.
 _SHARDS_PER_TASK = 4
 
 
@@ -78,34 +86,6 @@ class StressProfile:
     policy: str
     exec_counts: np.ndarray
     totals: np.ndarray
-
-
-def policy_label(policy: PolicySpec) -> str:
-    return policy.label
-
-
-def _fleet_params(
-    spec: FleetSpec,
-    policy: PolicySpec,
-    base_params: SystemParams | None,
-) -> SystemParams:
-    geometry = FabricGeometry(
-        rows=spec.rows, cols=spec.cols, ctx_lines=spec.ctx_lines
-    )
-    if base_params is None:
-        return SystemParams(
-            geometry=geometry,
-            policy=policy.name,
-            policy_kwargs=policy.as_kwargs(),
-            frontend=spec.frontend,
-        )
-    return replace(
-        base_params,
-        geometry=geometry,
-        policy=policy.name,
-        policy_kwargs=policy.as_kwargs(),
-        frontend=spec.frontend,
-    )
 
 
 def expand_shard(
@@ -129,7 +109,7 @@ def expand_shard(
     weights = spec.device_weights(shard.start, shard.stop)
     records = []
     for policy in spec.policies:
-        profile = profiles[policy_label(policy)]
+        profile = profiles[policy.label]
         stressed = (weights[:, :, None] * profile.exec_counts[None, :, :]).sum(
             axis=1
         )
@@ -141,7 +121,7 @@ def expand_shard(
         records.append(
             ShardRecord.from_lifetimes(
                 fingerprint=fingerprint,
-                policy=policy_label(policy),
+                policy=policy.label,
                 shard=shard.index,
                 lifetimes=lifetimes,
                 worst_utils=worst,
@@ -153,19 +133,18 @@ def expand_shard(
     return records
 
 
-def _pool_expand_shards(
+def _expand_shards(
     payload: tuple[
-        dict,
+        FleetSpec,
         tuple[FleetShard, ...],
         dict[str, StressProfile],
         NBTIModel,
         str,
     ],
 ) -> list[ShardRecord]:
-    """Expand a chunk of shards in a pool worker (no trace walks, no
+    """One executor task: expand its shards (no trace walks, no
     schedule state — just the spec, the stacked profiles and numpy)."""
-    spec_payload, shards, profiles, model, fingerprint = payload
-    spec = FleetSpec.from_jsonable(spec_payload)
+    spec, shards, profiles, model, fingerprint = payload
     records: list[ShardRecord] = []
     for shard in shards:
         records.extend(expand_shard(spec, shard, profiles, model, fingerprint))
@@ -193,6 +172,13 @@ class FleetResult:
     #: aggregates stay correct; only resumability was lost).
     store_append_errors: int = 0
 
+    def require_complete(self) -> "FleetResult":
+        """This result, or :class:`~repro.errors.ConfigurationError`
+        naming every quarantined shard task when a shard is missing
+        from the aggregates."""
+        require_complete(f"fleet {self.spec.name!r}", self.failures)
+        return self
+
     def aggregate(self, policy: str) -> FleetAggregate:
         agg = self.aggregates.get(policy)
         if agg is None:
@@ -207,7 +193,7 @@ class FleetResult:
         the spec's first policy) — the paper's Eq. 1 lifetime-
         improvement claim, fleet-expanded."""
         if baseline is None:
-            baseline = policy_label(self.spec.policies[0])
+            baseline = self.spec.policies[0].label
         return self.aggregate(policy).mttf_years() / self.aggregate(
             baseline
         ).mttf_years()
@@ -240,19 +226,17 @@ class FleetRunner:
             ``fleet.json`` (manifest) and ``fleet_summary.json``
             (merged aggregates) are written alongside. ``None`` keeps
             everything in memory (tests, benchmarks).
-        max_workers: ``None``/``0``/``1`` expands shards serially;
-            ``> 1`` fans shard chunks out over a process pool.
+        max_workers: ``None``/``0``/``1`` expands one shard per task
+            inline; ``> 1`` fans shard chunks out over a process pool.
         base_params: timing-parameter overrides for the replay phase
             (geometry and policy come from the spec).
         model: NBTI model for device lifetimes (default calibration:
             +10% delay over 3 years at full stress).
-        retry: :class:`~repro.resilience.RetryPolicy` for pool-task
+        retry: :class:`~repro.resilience.RetryPolicy` for task
             failures during shard expansion (worker crashes, hangs,
-            transient exceptions) before a chunk is quarantined.
+            transient exceptions) before a task is quarantined.
         task_timeout: per-chunk wall-clock budget in seconds for pool
             expansion (``None`` = unbounded).
-        max_pool_rebuilds: broken-pool recoveries tolerated before
-            degrading to serial in-process expansion.
     """
 
     def __init__(
@@ -263,7 +247,6 @@ class FleetRunner:
         model: NBTIModel | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
-        max_pool_rebuilds: int = 3,
     ) -> None:
         self.store_dir = Path(store_dir) if store_dir else None
         self.max_workers = max_workers
@@ -271,7 +254,6 @@ class FleetRunner:
         self.model = model if model is not None else NBTIModel()
         self.retry = retry if retry is not None else RetryPolicy()
         self.task_timeout = task_timeout
-        self.max_pool_rebuilds = max_pool_rebuilds
 
     # ------------------------------------------------------------------
 
@@ -285,13 +267,13 @@ class FleetRunner:
         """
         profiles: dict[str, StressProfile] = {}
         for policy in spec.policies:
-            params = _fleet_params(spec, policy, self.base_params)
+            params = system_params(spec, policy, self.base_params)
             counts = []
             totals = []
             for workload in spec.workloads:
                 with obs.span(
                     "fleet.replay",
-                    policy=policy_label(policy),
+                    policy=policy.label,
                     workload=workload,
                 ):
                     trace = run_workload(workload)
@@ -303,8 +285,8 @@ class FleetRunner:
                     ).tracker
                 counts.append(tracker.execution_counts.ravel().astype(float))
                 totals.append(float(tracker.total_executions))
-            profiles[policy_label(policy)] = StressProfile(
-                policy=policy_label(policy),
+            profiles[policy.label] = StressProfile(
+                policy=policy.label,
                 exec_counts=np.stack(counts),
                 totals=np.asarray(totals),
             )
@@ -323,7 +305,7 @@ class FleetRunner:
         done: set[tuple[str, int]] = {
             (record.policy, record.shard) for record in resumed
         }
-        labels = [policy_label(policy) for policy in spec.policies]
+        labels = [policy.label for policy in spec.policies]
         pending = [
             shard
             for shard in spec.shards()
@@ -378,23 +360,35 @@ class FleetRunner:
         store: ResultStore | None,
         started: float,
     ) -> tuple[list[ShardRecord], int, list[TaskFailure]]:
-        """Phase 2 over the pending shards, serially or on the
-        resilient pool; records are appended to the store as they
-        arrive (streaming — a kill at any point leaves a resumable
-        store). Returns ``(records, store_append_errors, failures)``.
+        """Phase 2 over the pending shards as executor tasks; records
+        are appended to the store as they arrive (streaming — a kill at
+        any point leaves a resumable store). Returns ``(records,
+        store_append_errors, failures)``.
 
         A ``store.append`` I/O failure (full disk, dead mount,
         injected fault) degrades to keeping the record in memory: the
         merged aggregates stay correct, only this run's resumability
         is lost for that record.
         """
-        telemetry_on = obs.enabled()
+        workers = (self.max_workers or 1) if len(pending) > 1 else 1
+        per_task = _SHARDS_PER_TASK if workers > 1 else 1
+        chunks = [
+            tuple(pending[index : index + per_task])
+            for index in range(0, len(pending), per_task)
+        ]
+        payloads = [
+            (spec, chunk, profiles, self.model, fingerprint)
+            for chunk in chunks
+        ]
+        keys = [
+            f"shards:{chunk[0].index}-{chunk[-1].index}" for chunk in chunks
+        ]
         records: list[ShardRecord] = []
         append_errors = 0
-        progress = {"shards": 0}
+        done_shards = 0
 
-        def collect(batch: list[ShardRecord], done_shards: int) -> None:
-            nonlocal append_errors
+        def collect(position: int, batch: list[ShardRecord]) -> None:
+            nonlocal append_errors, done_shards
             for record in batch:
                 if store is not None:
                     try:
@@ -410,7 +404,8 @@ class FleetRunner:
                                 error=str(error),
                             )
                 records.append(record)
-            if telemetry_on:
+            done_shards += len(chunks[position])
+            if obs.enabled():
                 obs.log.progress(
                     "fleet.shard",
                     done_shards,
@@ -419,50 +414,15 @@ class FleetRunner:
                     fleet=spec.name,
                 )
 
-        parallel = (
-            self.max_workers is not None
-            and self.max_workers > 1
-            and len(pending) > 1
-        )
-        if not parallel:
-            for index, shard in enumerate(pending, start=1):
-                collect(
-                    expand_shard(
-                        spec, shard, profiles, self.model, fingerprint
-                    ),
-                    index,
-                )
-            return records, append_errors, []
-        chunks = [
-            tuple(pending[index : index + _SHARDS_PER_TASK])
-            for index in range(0, len(pending), _SHARDS_PER_TASK)
-        ]
-        spec_payload = spec.to_jsonable()
-        payloads = [
-            (spec_payload, chunk, profiles, self.model, fingerprint)
-            for chunk in chunks
-        ]
-        keys = [
-            f"shards:{chunk[0].index}-{chunk[-1].index}" for chunk in chunks
-        ]
-
-        def on_result(position: int, batch: list[ShardRecord]) -> None:
-            progress["shards"] += len(chunks[position])
-            collect(batch, progress["shards"])
-
         executor = ResilientExecutor(
-            _pool_expand_shards,
-            self.max_workers,
+            _expand_shards,
+            workers,
             retry=self.retry,
             task_timeout=self.task_timeout,
-            max_pool_rebuilds=self.max_pool_rebuilds,
         )
-        report = executor.run(payloads, keys=keys, on_result=on_result)
-        failures: list[TaskFailure] = []
+        report = executor.run(payloads, keys=keys, on_result=collect)
         for failure in report.failures:
-            position = keys.index(failure.key)
             failure.detail["shards"] = [
-                shard.index for shard in chunks[position]
+                shard.index for shard in chunks[keys.index(failure.key)]
             ]
-            failures.append(failure)
-        return records, append_errors, failures
+        return records, append_errors, report.failures

@@ -17,6 +17,7 @@ from repro.resilience.executor import (
     ExecutionReport,
     ResilientExecutor,
     TaskFailure,
+    require_complete,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
@@ -28,4 +29,5 @@ __all__ = [
     "ResilientExecutor",
     "RetryPolicy",
     "TaskFailure",
+    "require_complete",
 ]

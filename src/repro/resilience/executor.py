@@ -22,8 +22,18 @@ through one worker function and keeps going where a bare
 * **Repeated pool breakage** (more than ``max_pool_rebuilds``) drops
   to serial in-process execution for the remaining tasks — graceful
   degradation: slower, but the campaign finishes. Inline execution
-  arms :func:`repro.resilience.faults.set_inline`, so an injected
-  "crash" raises instead of killing the parent.
+  (this path, and the whole run when ``max_workers <= 1``) arms
+  :func:`repro.resilience.faults.set_inline`, so an injected "crash"
+  raises instead of killing the parent.
+
+Telemetry comes home with the results. When the parent records
+(:func:`repro.obs.enabled`), a pool task runs on a freshly reset
+worker registry — with trace capture if the parent captures spans —
+and returns its snapshot next to its result; the parent merges it
+(:func:`~repro.obs.absorb`) before ``on_result`` sees the result.
+Inline tasks record straight into the parent's registry. Either way
+the counters a run leaves behind do not depend on where its tasks
+ran; a task that crashed, hung or raised ships nothing.
 
 Injected faults are decided in this process before each attempt runs
 (:func:`_arm`) and only performed by the worker, so
@@ -55,11 +65,16 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.errors import TaskTimeoutError, WorkerCrashError
+from repro.errors import ConfigurationError, TaskTimeoutError, WorkerCrashError
 from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy
 
-__all__ = ["ExecutionReport", "ResilientExecutor", "TaskFailure"]
+__all__ = [
+    "ExecutionReport",
+    "ResilientExecutor",
+    "TaskFailure",
+    "require_complete",
+]
 
 
 @dataclass
@@ -84,6 +99,22 @@ class TaskFailure:
             "attempts": self.attempts,
             "detail": dict(self.detail),
         }
+
+
+def require_complete(what: str, failures) -> None:
+    """The error contract of consumers that need every task's result:
+    raise :class:`~repro.errors.ConfigurationError` naming each
+    quarantined task (key, error type, message) instead of returning
+    an answer computed from the survivors."""
+    if failures:
+        quarantined = "; ".join(
+            f"{failure.key!r} ({failure.error_type}: {failure.message})"
+            for failure in failures
+        )
+        raise ConfigurationError(
+            f"{what} is incomplete: {len(failures)} quarantined "
+            f"task(s): {quarantined}"
+        )
 
 
 @dataclass
@@ -140,16 +171,26 @@ def _arm(task: _Task) -> tuple[faults.FaultSpec, ...]:
 
 
 def _run_task(bundle):
-    """Worker-side trampoline: publish the task context, perform the
-    faults armed for this attempt, run the task."""
-    fn, payload, key, attempt, armed = bundle
+    """Worker-side trampoline: start a fresh registry in the parent's
+    telemetry mode (pool workers serve many tasks, so each task ships
+    only its own records), publish the task context, perform the
+    faults armed for this attempt, run the task. Returns the result
+    and the worker's snapshot (``None`` when the parent records
+    nothing)."""
+    fn, payload, key, attempt, armed, telemetry = bundle
+    obs.set_enabled(telemetry is not None)
+    if telemetry is not None:
+        obs.reset()
+        if telemetry == "trace":
+            obs.tracing.start()
     faults.set_context(key, attempt)
     try:
         for spec in armed:
             faults.perform(spec)
-        return fn(payload)
+        result = fn(payload)
     finally:
         faults.set_context(None)
+    return result, obs.snapshot() if telemetry is not None else None
 
 
 class ResilientExecutor:
@@ -214,6 +255,11 @@ class ResilientExecutor:
         if self.max_workers <= 1:
             self._drain_inline(queue, report, on_result)
             return report
+        # What pool tasks record: None (off), "telemetry" (counters,
+        # values, timers) or "trace" (plus span events).
+        telemetry = None
+        if obs.enabled():
+            telemetry = "trace" if obs.tracing.active() else "telemetry"
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
         inflight: dict = {}  # future -> (task, deadline)
         try:
@@ -234,7 +280,7 @@ class ResilientExecutor:
                     future = pool.submit(
                         _run_task,
                         (self.fn, task.payload, task.key, task.attempts,
-                         _arm(task)),
+                         _arm(task), telemetry),
                     )
                     deadline = (
                         now + self.task_timeout
@@ -259,7 +305,7 @@ class ResilientExecutor:
                 for future in done:
                     task, _ = inflight.pop(future)
                     try:
-                        result = future.result()
+                        result, snap = future.result()
                     except BrokenExecutor:
                         broken = True
                         self._task_failed(
@@ -274,6 +320,7 @@ class ResilientExecutor:
                     except Exception as error:
                         self._task_failed(task, error, "error", queue, report)
                     else:
+                        obs.absorb(snap)
                         self._deliver(task, result, report, on_result)
                 if broken:
                     # The pool is unusable; every other in-flight task
@@ -410,6 +457,7 @@ class ResilientExecutor:
     def _drain_inline(self, queue: deque, report, on_result) -> None:
         """Serial in-process execution of the remaining tasks (the
         degraded path, and the whole path for ``max_workers <= 1``).
+        Tasks record telemetry straight into this process's registry.
         No timeout enforcement — there is no worker to abandon."""
         faults.set_inline(True)
         try:

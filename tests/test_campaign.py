@@ -145,6 +145,45 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             campaign_result.only_run()
 
+    def test_only_run_names_the_quarantined_point(self):
+        spec = small_spec(
+            geometries=((2, 8),), policies=(PolicySpec.make("baseline"),)
+        )
+        (point,) = spec.design_points()
+        result = CampaignRunner().run(
+            spec, traces={"bitcount": run_workload("bitcount")}
+        )
+        (failure,) = result.failures
+        assert failure.error_type == "ConfigurationError"
+        assert failure.detail["points"] == [point.key]
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'point:0:L8xW2.*ConfigurationError: explicit traces "
+            r"missing workload",
+        ):
+            result.only_run()
+
+    def test_explicit_traces_run_inline_under_a_pool_runner(self, monkeypatch):
+        import repro.campaign.runner as runner_module
+
+        seen = []
+        real_evaluate = runner_module.evaluate_design_point
+
+        def recording(point, *args, **kwargs):
+            seen.append(point)
+            return real_evaluate(point, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "evaluate_design_point", recording)
+        traces = {name: run_workload(name) for name in WORKLOADS}
+        spec = small_spec(geometries=((2, 8),))
+        pooled = CampaignRunner(max_workers=2).run(spec, traces=traces)
+        # Every point ran in this process, on the given traces.
+        assert seen == list(spec.design_points())
+        serial = CampaignRunner().run(spec, traces=traces)
+        assert json.dumps(pooled.summaries(), sort_keys=True) == json.dumps(
+            serial.summaries(), sort_keys=True
+        )
+
     def test_artifacts_written(self, tmp_path):
         traces = {name: run_workload(name) for name in WORKLOADS}
         spec = small_spec(geometries=((2, 8),))
@@ -273,12 +312,11 @@ class TestJsonable:
         json.dumps(payload)
 
 
-class TestPairedSeedExpansion:
-    """``seed_mode="paired"``: seed s means (policy seed s, mapper
-    seed s), one design point per seed — vs the default cross
-    product."""
+class TestSeedExpansion:
+    """Seeds expand policy and mapper seeds independently (the cross
+    product); a manifest asking for anything else is refused."""
 
-    def _spec(self, seed_mode, seeds=(1, 2)):
+    def _spec(self, seeds=(1, 2)):
         from repro.campaign import MapperSpec
 
         return CampaignSpec(
@@ -287,12 +325,11 @@ class TestPairedSeedExpansion:
             mappers=(MapperSpec.make("annealing"),),
             workloads=("bitcount",),
             seeds=seeds,
-            seed_mode=seed_mode,
-            name="paired-test",
+            name="seeded-test",
         )
 
-    def test_cross_mode_is_the_cross_product(self):
-        points = self._spec("cross").design_points()
+    def test_seeds_expand_as_cross_product(self):
+        points = self._spec().design_points()
         assert len(points) == 4  # 2 policy seeds x 2 mapper seeds
         combos = {
             (p.mapper.as_kwargs()["seed"], p.policy.as_kwargs()["seed"])
@@ -300,74 +337,19 @@ class TestPairedSeedExpansion:
         }
         assert combos == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
-    def test_paired_mode_ties_seeds(self):
-        points = self._spec("paired").design_points()
-        assert len(points) == 2  # one point per seed
-        combos = [
-            (p.mapper.as_kwargs()["seed"], p.policy.as_kwargs()["seed"])
-            for p in points
-        ]
-        assert combos == [(1, 1), (2, 2)]
-
-    def test_paired_mode_keeps_unseedable_components_once(self):
-        from repro.campaign import MapperSpec
-
-        spec = CampaignSpec(
-            geometries=((2, 8),),
-            policies=(
-                PolicySpec.make("baseline"),
-                PolicySpec.make("random"),
-            ),
-            mappers=(
-                MapperSpec.make("greedy"),
-                MapperSpec.make("annealing"),
-            ),
-            workloads=("bitcount",),
-            seeds=(3, 4),
-            seed_mode="paired",
-        )
-        points = spec.design_points()
-        # baseline+greedy has no seedable component: one point, not one
-        # per seed; every other combination expands per seed.
-        labels = [point.label for point in points]
-        assert len(points) == 7, labels
-        assert (
-            sum("baseline" in lab and "annealing" not in lab for lab in labels)
-            == 1
-        )
-
-    def test_paired_without_seeds_equals_cross(self):
-        cross = self._spec("cross", seeds=()).design_points()
-        paired = self._spec("paired", seeds=()).design_points()
-        assert cross == paired
-
-    def test_unknown_seed_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="seed mode"):
-            self._spec("zipped")
-
-    def test_seed_mode_json_round_trip(self):
-        spec = self._spec("paired")
+    def test_seeded_spec_json_round_trip(self):
+        spec = self._spec()
         payload = spec.to_jsonable()
-        assert payload["seed_mode"] == "paired"
-        clone = CampaignSpec.from_jsonable(
-            json.loads(json.dumps(payload))
-        )
+        assert "seed_mode" not in payload
+        clone = CampaignSpec.from_jsonable(json.loads(json.dumps(payload)))
         assert clone == spec
         assert clone.design_points() == spec.design_points()
-        # The default mode is not emitted: pre-paired manifests are
-        # byte-identical.
-        assert "seed_mode" not in self._spec("cross").to_jsonable()
 
-    def test_paired_runner_executes_each_seed_once(self):
-        traces = {"bitcount": run_workload("bitcount")}
-        spec = self._spec("paired")
-        result = CampaignRunner().run(spec, traces=traces)
-        assert len(result.runs) == 2
-        for point, run in result:
-            assert point.mapper.as_kwargs()["seed"] == (
-                point.policy.as_kwargs()["seed"]
-            )
-            assert set(run.results) == {"bitcount"}
+    @pytest.mark.parametrize("mode", ["paired", "cross"])
+    def test_manifest_with_seed_mode_rejected(self, mode):
+        payload = dict(self._spec().to_jsonable(), seed_mode=mode)
+        with pytest.raises(ConfigurationError, match="seed_mode"):
+            CampaignSpec.from_jsonable(payload)
 
 
 class TestDeclaredRoutingBudgetAxis:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.dse.pareto import dominates, pareto_front
 from repro.dse.sweep import DSEPoint, run_design_point, sweep
+from repro.errors import ConfigurationError
+from repro.resilience import FaultPlan, faults
 from repro.workloads.suite import run_workload
 
 
@@ -80,12 +82,22 @@ class TestSweep:
         wide = run_design_point(mini_traces, cols=16, rows=8)
         assert wide.avg_utilization < narrow.avg_utilization
 
-    def test_explicit_traces_ignore_max_workers(self, mini_traces):
-        """Explicit trace objects must be evaluated (serially) rather
-        than silently swapped for suite traces in parallel mode."""
-        pooled = sweep(mini_traces, lengths=(8, 16), widths=(2,), max_workers=2)
-        serial = sweep(mini_traces, lengths=(8, 16), widths=(2,))
-        assert pooled == serial
+    def test_sweep_refuses_a_grid_with_a_quarantined_point(self, mini_traces):
+        """A point that cannot be evaluated raises, naming its task,
+        instead of leaving a hole in the grid."""
+        faults.activate(
+            FaultPlan.single(
+                "task.error", match="point:1:", times=None, max_attempt=None
+            )
+        )
+        try:
+            with pytest.raises(
+                ConfigurationError,
+                match=r"'point:1:L16xW2.*InjectedFaultError: injected task error",
+            ):
+                sweep(mini_traces, lengths=(8, 16), widths=(2,))
+        finally:
+            faults.deactivate()
 
     def test_policy_does_not_change_performance(self, mini_traces):
         baseline = run_design_point(mini_traces, cols=16, rows=2)

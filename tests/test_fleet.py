@@ -27,6 +27,7 @@ from repro.aging.lifetime import device_lifetimes, survival_counts
 from repro.aging.nbti import NBTIModel
 from repro.campaign.spec import PolicySpec
 from repro.errors import ConfigurationError
+from repro.resilience import FaultPlan, faults
 from repro.fleet import (
     GENERATION_BLOCK,
     FleetRunner,
@@ -374,3 +375,23 @@ def test_fleet_experiment_smoke():
     assert "Fleet-scale aging campaign" in text
     assert "baseline" in text and "stress_aware" in text
     assert "navigation" in text
+
+
+def test_fleet_experiment_refuses_a_partial_fleet():
+    """The experiment renders fleet MTTF only over the whole fleet: a
+    quarantined shard raises, naming its task."""
+    from repro.experiments import fleet as fleet_experiment
+
+    spec = _spec(n_devices=64, devices_per_shard=32)
+    faults.activate(
+        FaultPlan.single(
+            "task.error", match="shards:0-", times=None, max_attempt=None
+        )
+    )
+    try:
+        with pytest.raises(
+            ConfigurationError, match=r"'shards:0-0'.*InjectedFaultError"
+        ):
+            fleet_experiment.run(spec=spec)
+    finally:
+        faults.deactivate()

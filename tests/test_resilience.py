@@ -4,6 +4,7 @@ resilient executor's recovery + bit-identity guarantees."""
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -480,6 +481,50 @@ def test_executor_counts_into_telemetry():
     assert counters.get("resilience.retries") == 1
 
 
+def _counting_square(x):
+    obs.count("test.task.calls")
+    with obs.span("test.task"):
+        return x * x
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_executor_brings_task_telemetry_home(workers):
+    """Pool tasks ship their worker's records home — counters, timers
+    and, while the parent captures spans, trace events; inline tasks
+    record in place. Either way the parent's own records survive."""
+    with obs.telemetry():
+        obs.reset()
+        obs.tracing.start()
+        try:
+            obs.count("test.before")
+            report = ResilientExecutor(_counting_square, workers).run(
+                list(range(5))
+            )
+            snap = obs.snapshot()
+        finally:
+            obs.tracing.stop()
+            obs.reset()
+    assert report.results == [x * x for x in range(5)]
+    assert snap.counters["test.before"] == 1
+    assert snap.counters["test.task.calls"] == 5
+    assert snap.timers["test.task"]["count"] == 5
+    pids = {
+        event["pid"]
+        for event in snap.trace_events
+        if event["name"] == "test.task"
+    }
+    assert sum(event["name"] == "test.task" for event in snap.trace_events) == 5
+    assert (pids == {os.getpid()}) == (workers == 1)
+
+
+def test_executor_pool_tasks_ship_nothing_while_telemetry_is_off():
+    assert not obs.enabled()
+    obs.reset()
+    report = ResilientExecutor(_counting_square, 2).run(list(range(3)))
+    assert report.results == [0, 1, 4]
+    assert obs.snapshot().empty
+
+
 def test_execution_report_ok_flag():
     report = ExecutionReport(results=[1])
     assert report.ok
@@ -569,7 +614,122 @@ def test_campaign_interrupt_salvages_partial_artifacts(tmp_path, monkeypatch):
     assert failures["interrupted"] is True
 
 
+def test_serial_campaign_quarantines_like_a_pool():
+    spec = CampaignSpec(
+        name="quarantine-serial",
+        geometries=((2, 8), (4, 8)),
+        policies=(PolicySpec.make("baseline"),),
+        workloads=("crc32",),
+    )
+    first, second = spec.design_points()
+    faults.activate(
+        FaultPlan.single(
+            "task.error", match="point:0:", times=None, max_attempt=None
+        )
+    )
+    result = CampaignRunner(retry=_fast_retry()).run(spec)
+    (failure,) = result.failures
+    assert failure.error_type == "InjectedFaultError"
+    assert failure.detail["points"] == [first.key]
+    assert list(result.runs) == [second]
+    with pytest.raises(
+        ConfigurationError, match=r"'point:0:.*InjectedFaultError"
+    ):
+        result.require_complete()
+
+
+#: Counters that are a pure function of the run's spec, wherever its
+#: tasks ran (walk/memo counters are not: memoised walks are skipped).
+_RUN_COUNTERS = ("campaign.points", "schedule.replays", "allocator.launches")
+
+
+def _degrading_crashes():
+    """Every attempt below the fourth crashes its worker. A break
+    charges each in-flight task one attempt, so no task can finish on
+    the pool before it broke four times — one more than the executor
+    rebuilds — and the run degrades to inline execution, where the
+    remaining early attempts raise and retry."""
+    return FaultPlan.single("worker.crash", times=None, max_attempt=4)
+
+
+def _patient_retry():
+    return RetryPolicy(max_attempts=8, base_delay=0.001, max_delay=0.01)
+
+
+def _counted(run):
+    """``run()`` under telemetry, with a counter set beforehand; returns
+    its result and the counters the registry holds afterwards."""
+    with obs.telemetry():
+        obs.reset()
+        obs.count("test.before")
+        try:
+            result = run()
+            counters = dict(obs.state.counters)
+        finally:
+            obs.reset()
+    return result, counters
+
+
+def test_degraded_serial_campaign_keeps_parent_telemetry():
+    # Distinct geometries: three single-point schedule groups.
+    spec = CampaignSpec(
+        name="degraded",
+        geometries=((2, 8), (2, 16), (4, 8)),
+        policies=(PolicySpec.make("rotation"),),
+        workloads=("crc32",),
+    )
+    serial, serial_counters = _counted(lambda: CampaignRunner().run(spec))
+    faults.activate(_degrading_crashes())
+    degraded, counters = _counted(
+        lambda: CampaignRunner(max_workers=2, retry=_patient_retry()).run(spec)
+    )
+    faults.deactivate()
+    assert not degraded.failures
+    assert json.dumps(degraded.summaries(), sort_keys=True) == json.dumps(
+        serial.summaries(), sort_keys=True
+    )
+    assert counters["test.before"] == 1
+    assert counters.get("resilience.degraded_serial") == 1
+    assert counters.get("resilience.pool_rebuilds", 0) > 3
+    assert counters["campaign.points"] == len(spec.design_points())
+    for name in _RUN_COUNTERS:
+        assert counters.get(name) == serial_counters.get(name), name
+
+
 # -- fleet runner integration ---------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["pool", "degraded"])
+def test_fleet_counters_do_not_depend_on_where_shards_ran(mode):
+    # Eight shards: two pool tasks of four.
+    spec = FleetSpec(
+        name="counted_fleet",
+        rows=4,
+        cols=4,
+        policies=(PolicySpec.make("baseline"), PolicySpec.make("rotation")),
+        scenario="uniform",
+        n_devices=256,
+        devices_per_shard=32,
+        seed=5,
+    )
+    serial, serial_counters = _counted(lambda: FleetRunner().run(spec))
+    if mode == "degraded":
+        faults.activate(_degrading_crashes())
+    result, counters = _counted(
+        lambda: FleetRunner(max_workers=2, retry=_patient_retry()).run(spec)
+    )
+    faults.deactivate()
+    assert not result.failures
+    assert _fleet_payload(result) == _fleet_payload(serial)
+    assert serial_counters["fleet.shards.expanded"] == 8
+    assert serial_counters["fleet.devices.expanded"] == 256
+    assert counters["test.before"] == 1
+    for name in ("fleet.shards.expanded", "fleet.devices.expanded"):
+        assert counters.get(name) == serial_counters[name], name
+    assert (counters.get("resilience.degraded_serial") == 1) == (
+        mode == "degraded"
+    )
+
 
 
 def _fleet_spec():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.aging.sensor import SensorArray
 from repro.campaign import CampaignRunner, CampaignSpec, MapperSpec, PolicySpec
-from repro.campaign.runner import _build_params
+from repro.campaign.spec import system_params
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
@@ -501,7 +501,8 @@ class TestCampaignGrouping:
             assert sorted(results) == sorted(point.workloads)
             for name, result in results.items():
                 coupled = coupled_run(
-                    _build_params(point, None), run_workload(name)
+                    system_params(point, point.policy, mapper=point.mapper),
+                    run_workload(name),
                 )
                 assert_results_identical(coupled, result)
 
